@@ -34,7 +34,7 @@
 #include "core/batch_engine.h"
 #include "perf_emit.h"
 #include "sched/crhcs.h"
-#include "sched/schedule_io.h"
+#include "sched/schedule.h"
 #include "sparse/generators.h"
 #include "support.h"
 

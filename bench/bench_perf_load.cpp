@@ -7,7 +7,7 @@
  * that already scheduled a matrix once should never pay CrHCS again.
  * Per tier the bench measures (a) cold scheduling end to end and (b)
  * the full artifact serving path — open/map, header + section
- * validation, the parallel payload digest, and the zero-copy
+ * validation, the payload digest, and the zero-copy
  * materialization — and reports the speedup as throughput_per_s (unit
  * "speedup_vs_cold", so the ratio itself is what chason_perf_gate
  * bands; cold_median_ms rides along for context). The digest touches
@@ -19,11 +19,12 @@
  * describe bit-identical schedules (tests/core/test_artifact_cache.cc
  * proves the simulation side).
  *
- * Cold scheduling runs on a bench-owned core::ThreadPool, the
- * parallel fan-out a standalone caller gets.
+ * Both legs run on the calling thread, as they do behind a
+ * core::ScheduleCache in Engine, BatchEngine and the daemon: a miss
+ * schedules with no pool and a disk hit hashes the payload serially.
+ * The ratio is therefore the one a served request sees.
  *
- * Knobs: CHASON_PERF_TIERS picks tiers, CHASON_JOBS sizes the
- * scheduling pool, --out changes the report path.
+ * Knobs: CHASON_PERF_TIERS picks tiers, --out changes the report path.
  */
 
 #include <cstdio>
@@ -33,11 +34,10 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "core/thread_pool.h"
 #include "perf_emit.h"
 #include "sched/artifact.h"
 #include "sched/crhcs.h"
-#include "sched/schedule_io.h"
+#include "sched/schedule.h"
 #include "sparse/generators.h"
 #include "support.h"
 
@@ -60,9 +60,7 @@ main(int argc, char **argv)
     std::filesystem::create_directories(dir);
 
     const sched::SchedConfig config;
-    core::ThreadPool pool(bench::jobCount());
-    const sched::CrhcsScheduler scheduler(
-        config, sched::MigrationStrategy::BeatSynchronous, &pool);
+    const sched::CrhcsScheduler scheduler(config);
 
     std::vector<bench::PerfSample> samples;
     for (const bench::PerfTier &tier : bench::selectedPerfTiers()) {

@@ -26,7 +26,7 @@
 #include "core/thread_pool.h"
 #include "perf_emit.h"
 #include "sched/crhcs.h"
-#include "sched/schedule_io.h"
+#include "sched/schedule.h"
 #include "sparse/generators.h"
 #include "support.h"
 

@@ -26,10 +26,11 @@ ctest --test-dir build-tsan \
 # territory).
 cmake -B build-asan -G Ninja -DCHASON_ASAN=ON
 cmake --build build-asan --target \
-    test_matrix_market test_schedule_io test_artifact test_verifier \
-    test_sarif test_sarif_merge test_differential test_serve_protocol
+    test_matrix_market test_schedule test_schedule_io test_artifact \
+    test_verifier test_sarif test_sarif_merge test_differential \
+    test_serve_protocol
 ctest --test-dir build-asan \
-    -R 'test_(matrix_market|schedule_io|artifact$|verifier|sarif|differential|serve_protocol)' \
+    -R 'test_(matrix_market|schedule(_io)?$|artifact$|verifier|sarif|differential|serve_protocol)' \
     --output-on-failure 2>&1 | tee -a test_output.txt
 
 # Static schedule verification gate: every bundled example schedule must

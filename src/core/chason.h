@@ -24,7 +24,6 @@
 #include "sched/crhcs.h"             // IWYU pragma: export
 #include "sched/pe_aware.h"          // IWYU pragma: export
 #include "sched/row_based.h"         // IWYU pragma: export
-#include "sched/schedule_io.h"       // IWYU pragma: export
 #include "sparse/csc.h"              // IWYU pragma: export
 #include "sparse/dataset.h"          // IWYU pragma: export
 #include "sparse/generators.h"       // IWYU pragma: export

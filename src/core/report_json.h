@@ -13,6 +13,7 @@
 #include <string>
 
 #include "arch/timing.h"
+#include "common/json_escape.h"
 #include "core/engine.h"
 #include "core/schedule_cache.h"
 #include "core/spmm.h"
@@ -21,8 +22,8 @@
 namespace chason {
 namespace core {
 
-/** Escape a string for inclusion in JSON output. */
-std::string jsonEscape(const std::string &raw);
+/** JSON string escaping; one implementation, in chason_common. */
+using common::jsonEscape;
 
 /** One SpMV report as a JSON object. */
 std::string toJson(const SpmvReport &report);

@@ -9,7 +9,6 @@
 
 #include "common/bitfield.h"
 #include "common/logging.h"
-#include "sched/artifact.h"
 #include "trace/trace.h"
 
 namespace chason {
@@ -68,6 +67,44 @@ scheduleKey(const sched::Scheduler &scheduler, const sparse::CsrMatrix &a)
     return ScheduleKey{fingerprint(a), h};
 }
 
+sched::ArtifactKey
+artifactKey(const ScheduleKey &key)
+{
+    return {key.matrix.lo, key.matrix.hi, key.scheduler};
+}
+
+std::optional<sched::Schedule>
+loadArtifact(const std::string &path, const ScheduleKey &key,
+             std::string &why)
+{
+    // Any defect — bad magic, foreign version, truncation, structural
+    // damage, a key for another matrix or scheduler, checksum
+    // mismatch — rejects the file; a bad store can cost time, never
+    // correctness.
+    trace::HostSpan span("artifact.load");
+    sched::ArtifactError error;
+    const auto status = [&error] {
+        return std::string(sched::artifactStatusName(error.status)) +
+            " (" + error.detail + ")";
+    };
+    const sched::ArtifactReader reader =
+        sched::ArtifactReader::open(path, &error);
+    if (!reader.ok()) {
+        why = status();
+        return std::nullopt;
+    }
+    if (!(reader.info().key == artifactKey(key))) {
+        why = "foreign key";
+        return std::nullopt;
+    }
+    if (!reader.payloadIntact(&error)) {
+        why = status();
+        return std::nullopt;
+    }
+    // Zero copy: the schedule's beats alias the mapping.
+    return reader.load();
+}
+
 ScheduleCache::ScheduleCache(std::size_t budget_bytes)
     : budgetBytes_(budget_bytes)
 {
@@ -89,53 +126,6 @@ ScheduleCache::setArtifactDir(const std::string &dir)
         }
     }
     artifactDir_ = dir;
-}
-
-ScheduleCache::SchedulePtr
-ScheduleCache::loadFromDisk(const ScheduleKey &key,
-                            const std::string &path, bool &rejected) const
-{
-    rejected = false;
-    std::error_code ec;
-    if (!std::filesystem::exists(path, ec) || ec)
-        return nullptr; // clean disk miss: nothing stored yet
-
-    // Admission gate: the same validation chason_verify --artifact
-    // runs. Any defect — bad magic, foreign version, truncation,
-    // structural damage, checksum mismatch — rejects the file and the
-    // caller falls back to rescheduling; a corrupt store can cost
-    // time, never correctness.
-    trace::HostSpan span("artifact.load");
-    sched::ArtifactError error;
-    const sched::ArtifactReader reader =
-        sched::ArtifactReader::open(path, &error);
-    if (!reader.ok()) {
-        rejected = true;
-        warn("schedule cache: rejecting artifact '%s': %s (%s); "
-             "rescheduling",
-             path.c_str(), sched::artifactStatusName(error.status),
-             error.detail.c_str());
-        return nullptr;
-    }
-    const sched::ArtifactKey want{key.matrix.lo, key.matrix.hi,
-                                  key.scheduler};
-    if (!(reader.info().key == want)) {
-        rejected = true;
-        warn("schedule cache: artifact '%s' carries a foreign key; "
-             "rescheduling",
-             path.c_str());
-        return nullptr;
-    }
-    if (!reader.payloadIntact(&error)) {
-        rejected = true;
-        warn("schedule cache: rejecting artifact '%s': %s (%s); "
-             "rescheduling",
-             path.c_str(), sched::artifactStatusName(error.status),
-             error.detail.c_str());
-        return nullptr;
-    }
-    // Zero-copy promotion: the schedule's beats alias the mapping.
-    return std::make_shared<const sched::Schedule>(reader.load());
 }
 
 std::shared_ptr<const sched::Schedule>
@@ -188,14 +178,26 @@ ScheduleCache::get(const sched::Scheduler &scheduler,
     // its latency must not serialize unrelated lookups.
     const std::string artifact_path = artifactDir_.empty()
         ? std::string()
-        : artifactDir_ + "/" +
-            sched::artifactFileName(
-                {key.matrix.lo, key.matrix.hi, key.scheduler});
+        : artifactDir_ + "/" + sched::artifactFileName(artifactKey(key));
     bool disk_hit = false;
     bool disk_rejected = false;
     SchedulePtr schedule;
     if (!artifact_path.empty()) {
-        schedule = loadFromDisk(key, artifact_path, disk_rejected);
+        std::error_code ec;
+        if (std::filesystem::exists(artifact_path, ec) && !ec) {
+            std::string why;
+            std::optional<sched::Schedule> loaded =
+                loadArtifact(artifact_path, key, why);
+            if (loaded) {
+                schedule = std::make_shared<const sched::Schedule>(
+                    std::move(*loaded));
+            } else {
+                disk_rejected = true;
+                warn("schedule cache: rejecting artifact '%s': %s; "
+                     "rescheduling",
+                     artifact_path.c_str(), why.c_str());
+            }
+        }
         disk_hit = schedule != nullptr;
         if (sink) {
             sink->addCounter(disk_hit ? "schedule_cache.disk_hit"
@@ -246,9 +248,8 @@ ScheduleCache::get(const sched::Scheduler &scheduler,
     // store in place.
     if (!artifact_path.empty() && !disk_hit) {
         sched::ArtifactError error;
-        if (sched::writeArtifactFile(
-                *schedule, {key.matrix.lo, key.matrix.hi, key.scheduler},
-                artifact_path, &error)) {
+        if (sched::writeArtifactFile(*schedule, artifactKey(key),
+                                     artifact_path, &error)) {
             {
                 common::MutexLock lock(mutex_);
                 ++persisted_;

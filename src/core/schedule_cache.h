@@ -27,11 +27,13 @@
 #include <future>
 #include <list>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
 #include "common/thread_annotations.h"
 #include "core/engine.h"
+#include "sched/artifact.h"
 
 namespace chason {
 namespace core {
@@ -66,6 +68,21 @@ struct ScheduleKey
 /** Key for @p scheduler applied to @p a. */
 ScheduleKey scheduleKey(const sched::Scheduler &scheduler,
                         const sparse::CsrMatrix &a);
+
+/** The CHSA identity a schedule cached under @p key is stored with. */
+sched::ArtifactKey artifactKey(const ScheduleKey &key);
+
+/**
+ * Admit the stored schedule at @p path: open it, require that it
+ * carries @p key, verify its payload digest and load it zero-copy. This
+ * is the one admission sequence behind the disk tier and every tool
+ * that reads a schedule file. On rejection returns nullopt and sets
+ * @p why to the ArtifactStatus name and detail, or to "foreign key";
+ * it never panics on a malformed file.
+ */
+std::optional<sched::Schedule> loadArtifact(const std::string &path,
+                                            const ScheduleKey &key,
+                                            std::string &why);
 
 /** Counter snapshot; taken atomically with respect to cache updates. */
 struct ScheduleCacheStats
@@ -185,17 +202,6 @@ class ScheduleCache
 
     /** Fatal consistency check after mutations; no-op in NDEBUG. */
     void debugCheckConsistencyLocked() const REQUIRES(mutex_);
-
-    /**
-     * Disk-tier probe for @p key: admission-check and zero-copy-load
-     * the stored artifact if one exists. Returns null on a clean miss
-     * (no file) or a rejection; @p rejected distinguishes the two.
-     * Runs without the cache lock — disk latency must not serialize
-     * unrelated lookups.
-     */
-    SchedulePtr loadFromDisk(const ScheduleKey &key,
-                             const std::string &path,
-                             bool &rejected) const EXCLUDES(mutex_);
 
     // enforceBudgetLocked() bumps TraceSink counters with mutex_ held,
     // which fixes the lock order: ScheduleCache::mutex_ before

@@ -17,7 +17,7 @@
 #define CHASON_RUNTIME_HOST_H_
 
 #include "arch/estimator.h"
-#include "sched/schedule_io.h"
+#include "sched/schedule.h"
 
 namespace chason {
 namespace runtime {

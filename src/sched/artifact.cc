@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <thread>
 
 #include "common/logging.h"
 
@@ -652,64 +651,16 @@ ArtifactReader::open(const std::string &path, ArtifactError *error)
 }
 
 bool
-ArtifactReader::payloadIntact(ArtifactError *error, unsigned jobs) const
+ArtifactReader::payloadIntact(ArtifactError *error) const
 {
     // chason-lint: begin-mmap-region (payload_ points into the mapped
     // file; the hash sweep below walks all of it)
     chason_assert(ok(), "payloadIntact() on a failed reader");
     if (payloadVerdict_ == 0) {
-        const std::byte *p =
-            reinterpret_cast<const std::byte *>(payload_);
-        const std::uint64_t bytes = info_.payloadBytes;
-        const std::size_t chunks = static_cast<std::size_t>(
-            (bytes + kArtifactChunkBytes - 1) / kArtifactChunkBytes);
-        std::vector<std::uint64_t> digests(chunks);
-
-        unsigned workers = jobs != 0
-            ? jobs
-            : std::thread::hardware_concurrency();
-        if (workers < 1)
-            workers = 1;
-        if (workers > chunks)
-            workers = static_cast<unsigned>(chunks);
-        if (workers > 16)
-            workers = 16;
-
-        const auto hash_stride = [&](unsigned worker) {
-            for (std::size_t c = worker; c < chunks; c += workers) {
-                const std::uint64_t off =
-                    std::uint64_t{c} * kArtifactChunkBytes;
-                const std::size_t n = static_cast<std::size_t>(
-                    bytes - off < kArtifactChunkBytes
-                        ? bytes - off
-                        : kArtifactChunkBytes);
-                digests[c] = chunkHash(p + off, n);
-            }
-        };
-        if (workers <= 1) {
-            hash_stride(0);
-        } else {
-            std::vector<std::thread> pool;
-            pool.reserve(workers - 1);
-            for (unsigned w = 1; w < workers; ++w)
-                pool.emplace_back(hash_stride, w);
-            hash_stride(0);
-            for (std::thread &t : pool)
-                t.join();
-        }
-
-        ChunkFold fold;
-        for (std::size_t c = 0; c < chunks; ++c) {
-            const std::uint64_t off =
-                std::uint64_t{c} * kArtifactChunkBytes;
-            fold.add(digests[c],
-                     static_cast<std::size_t>(
-                         bytes - off < kArtifactChunkBytes
-                             ? bytes - off
-                             : kArtifactChunkBytes));
-        }
-        payloadVerdict_ =
-            fold.finish() == payloadChecksum_ ? 1 : 2;
+        const std::uint64_t digest = artifactHash(
+            reinterpret_cast<const std::byte *>(payload_),
+            static_cast<std::size_t>(info_.payloadBytes));
+        payloadVerdict_ = digest == payloadChecksum_ ? 1 : 2;
     }
     // chason-lint: end-mmap-region
     if (payloadVerdict_ == 1)

@@ -9,11 +9,11 @@
  * that store: a fixed little-endian layout whose beat payload is the
  * *in-memory* `Beat` array byte-for-byte (the layout pins in
  * sched/schedule.h enforce this), so loading is O(header) validation
- * plus page faults, not a parse. Unlike the wire format of
- * sched/schedule_io.h — which proves the paper's 64-bit element
- * encoding carries everything the datapath needs, and is therefore
- * restricted to migrationDepth <= 1 — CHSA stores full slots and
- * round-trips any schedule bit-exactly.
+ * plus page faults, not a parse. Unlike the §3.2 64-bit wire encoding
+ * (encodeChannelStream in sched/schedule.h), which only names the
+ * immediate next channel and is therefore restricted to
+ * migrationDepth <= 1, CHSA stores full slots and round-trips any
+ * schedule bit-exactly. It is the only on-disk schedule format.
  *
  * File layout (all integers little-endian, docs/ARTIFACT_FORMAT.md has
  * the byte-level reference):
@@ -31,9 +31,9 @@
  *
  * Every section carries a checksum over its bytes: artifactHash(), a
  * 4-lane FNV-style multiply-xor digest folded over fixed 4 MiB chunks.
- * The chunking makes payload verification embarrassingly parallel
- * (ArtifactReader::payloadIntact fans chunks across threads) while the
- * digest stays independent of the thread count.
+ * The chunking lets the writer stream the payload through a fixed
+ * buffer and still produce the digest the reader computes over the
+ * contiguous mapping.
  *
  * Failure model: ArtifactReader::open never panics on a malformed
  * file — every defect maps to an ArtifactStatus so callers (the
@@ -202,7 +202,7 @@ struct ArtifactInfo
  * Write @p schedule as a CHSA v1 artifact at @p path (temp file +
  * atomic rename). Returns false (with @p error filled) on an I/O
  * failure; never panics on one. Works for every schedule, including
- * migrationDepth > 1 (unlike the wire serializer).
+ * migrationDepth > 1 (unlike the wire encoding).
  */
 bool writeArtifactFile(const Schedule &schedule, const ArtifactKey &key,
                        const std::string &path,
@@ -235,13 +235,12 @@ class ArtifactReader
     const ArtifactInfo &info() const { return info_; }
 
     /**
-     * Verify the beat-payload digest, hashing chunks on up to @p jobs
-     * threads (0 = one per hardware thread, capped by the chunk
-     * count). Idempotent: the verdict is computed once and cached.
-     * This is the only load-path step that touches every payload page.
+     * Verify the beat-payload digest on the calling thread; this
+     * starts no thread. Idempotent: the verdict is computed once and
+     * cached. This is the only load-path step that touches every
+     * payload page.
      */
-    bool payloadIntact(ArtifactError *error = nullptr,
-                       unsigned jobs = 0) const;
+    bool payloadIntact(ArtifactError *error = nullptr) const;
 
     /**
      * Materialize the schedule. Beat storage aliases the mapping

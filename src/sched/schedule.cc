@@ -99,6 +99,16 @@ Schedule::memoryBytes() const
     return bytes;
 }
 
+std::uint64_t
+scheduleArtifactBytes(const Schedule &schedule)
+{
+    // The HBM-resident payload: every channel stores alignedBeats beats
+    // of 64 bytes per phase (stall words included — this is exactly the
+    // "data list" whose padding Serpens pays for and CrHCS trims).
+    return static_cast<std::uint64_t>(schedule.totalAlignedBeats()) *
+        schedule.config.channels * 64;
+}
+
 std::uint32_t
 Schedule::windowsPerPass() const
 {

@@ -321,6 +321,13 @@ struct Schedule
 };
 
 /**
+ * Total artifact size in bytes (what the host must DMA to HBM for the
+ * matrix streams — the "data list" footprint the paper's transfer
+ * numbers count).
+ */
+std::uint64_t scheduleArtifactBytes(const Schedule &schedule);
+
+/**
  * Serialize one channel's beats of one phase into the 64-bit stream the
  * hardware would read from HBM (8 words per beat, stall slots as zero
  * words). Local row/col indices are derived with the schedule's LaneMap

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
+#include <optional>
 #include <utility>
 
 #include <poll.h>
@@ -348,20 +349,40 @@ Daemon::materialize(const Request &request, std::string &error)
             error = "unknown dataset '" + request.dataset + "'";
             return nullptr;
         }
-        matrix = std::make_shared<sparse::CsrMatrix>(
-            sparse::loadOrGenerate(*entry));
+        std::optional<sparse::CsrMatrix> a =
+            sparse::loadOrGenerate(*entry, "", error);
+        if (!a)
+            return nullptr;
+        matrix = std::make_shared<sparse::CsrMatrix>(std::move(*a));
         break;
     }
     case Request::Source::Path: {
-        // readMatrixMarketFile() is fatal() on malformed content, so
-        // the path source is operator-trust-level (docs/SERVING.md);
-        // only existence and readability are checked here.
+        // A malformed file comes back as a parse error, answered as
+        // bad_request; it never reaches fatal().
         if (::access(request.path.c_str(), R_OK) != 0) {
             error = "cannot read matrix file '" + request.path + "'";
             return nullptr;
         }
-        matrix = std::make_shared<sparse::CsrMatrix>(
-            sparse::readMatrixMarketFile(request.path).toCsr());
+        std::optional<sparse::CooMatrix> coo =
+            sparse::readMatrixMarketFile(request.path, error);
+        if (!coo)
+            return nullptr;
+        // The declared shape is client-named input too: bound it before
+        // toCsr() allocates rows + 1 offsets.
+        constexpr std::uint64_t kMaxDim = std::uint64_t{1}
+            << kMaxMatrixScale;
+        if (coo->rows() > kMaxDim || coo->cols() > kMaxDim ||
+            coo->nnz() > kMaxMatrixNnz) {
+            error = "matrix file '" + request.path + "' is " +
+                std::to_string(coo->rows()) + "x" +
+                std::to_string(coo->cols()) + " with " +
+                std::to_string(coo->nnz()) +
+                " nonzeros; the bound is 2^" +
+                std::to_string(kMaxMatrixScale) + " rows and columns, " +
+                std::to_string(kMaxMatrixNnz) + " nonzeros";
+            return nullptr;
+        }
+        matrix = std::make_shared<sparse::CsrMatrix>(coo->toCsr());
         break;
     }
     case Request::Source::Rmat: {

@@ -29,8 +29,6 @@ constexpr std::uint64_t kMaxPes = 8; // sched::kMaxPesPerGroup
 constexpr std::uint64_t kMaxRawDistance = 256;
 constexpr std::uint64_t kMaxWindow = std::uint64_t{1} << 20;
 constexpr std::uint64_t kMaxRowsPerLane = 32768;
-constexpr std::uint64_t kMaxRmatScale = 24;
-constexpr std::uint64_t kMaxRmatEdges = std::uint64_t{1} << 28;
 constexpr std::size_t kMaxTenantLength = 64;
 
 bool
@@ -159,14 +157,14 @@ parseRequest(const std::string &line, Request &out, std::string &error)
         std::uint64_t scale = 0;
         std::uint64_t edges = 0;
         if (!rmat->getUint("scale", scale) || scale < 1 ||
-            scale > kMaxRmatScale)
+            scale > kMaxMatrixScale)
             return failParse(error, "rmat.scale must be in [1, " +
-                                        std::to_string(kMaxRmatScale) +
+                                        std::to_string(kMaxMatrixScale) +
                                         "]");
         if (!rmat->getUint("edges", edges) || edges < 1 ||
-            edges > kMaxRmatEdges)
+            edges > kMaxMatrixNnz)
             return failParse(error, "rmat.edges must be in [1, " +
-                                        std::to_string(kMaxRmatEdges) +
+                                        std::to_string(kMaxMatrixNnz) +
                                         "]");
         out.rmatScale = static_cast<std::uint32_t>(scale);
         out.rmatEdges = edges;

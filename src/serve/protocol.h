@@ -36,6 +36,15 @@ inline constexpr const char *kErrOverBudget = "over_budget";
 inline constexpr const char *kErrQueueFull = "queue_full";
 inline constexpr const char *kErrShuttingDown = "shutting_down";
 
+/**
+ * Largest matrix any source may name: at most 2^kMaxMatrixScale rows
+ * and columns and kMaxMatrixNnz nonzeros. An rmat spec is checked at
+ * parse time; a path source's file after it is read, before the daemon
+ * builds its CSR (whose row offsets alone grow with the declared rows).
+ */
+inline constexpr std::uint32_t kMaxMatrixScale = 24;
+inline constexpr std::uint64_t kMaxMatrixNnz = std::uint64_t{1} << 28;
+
 /** One parsed request. */
 struct Request
 {

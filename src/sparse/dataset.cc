@@ -117,8 +117,9 @@ table2ByTag(const std::string &tag)
     chason_fatal("unknown Table 2 tag '%s'", tag.c_str());
 }
 
-CsrMatrix
-loadOrGenerate(const DatasetEntry &entry, const std::string &mtx_dir)
+std::optional<CsrMatrix>
+loadOrGenerate(const DatasetEntry &entry, const std::string &mtx_dir,
+               std::string &error)
 {
     if (!mtx_dir.empty()) {
         const std::filesystem::path path =
@@ -126,7 +127,11 @@ loadOrGenerate(const DatasetEntry &entry, const std::string &mtx_dir)
         if (std::filesystem::exists(path)) {
             inform("loading %s from %s", entry.name.c_str(),
                    path.string().c_str());
-            return readMatrixMarketFile(path.string()).toCsr();
+            std::optional<CooMatrix> coo =
+                readMatrixMarketFile(path.string(), error);
+            if (!coo)
+                return std::nullopt;
+            return coo->toCsr();
         }
     }
     return entry.generate();

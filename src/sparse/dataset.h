@@ -24,6 +24,7 @@
 #define CHASON_SPARSE_DATASET_H_
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,10 +59,12 @@ const DatasetEntry &table2ByTag(const std::string &tag);
 
 /**
  * Either load "<dir>/<name>.mtx" if present or synthesize the entry.
- * Passing an empty dir always synthesizes.
+ * Passing an empty dir always synthesizes. A file that does not parse
+ * returns nullopt with the reason in @p error.
  */
-CsrMatrix loadOrGenerate(const DatasetEntry &entry,
-                         const std::string &mtx_dir = "");
+std::optional<CsrMatrix> loadOrGenerate(const DatasetEntry &entry,
+                                        const std::string &mtx_dir,
+                                        std::string &error);
 
 /** One matrix of the sweep corpus. */
 struct SweepEntry

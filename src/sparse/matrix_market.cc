@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdarg>
+#include <cstdio>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -44,6 +46,19 @@ getlineTrimCr(std::istream &in, std::string &line)
     return true;
 }
 
+/** Set @p error to the printf-style message; returns nullopt. */
+__attribute__((format(printf, 2, 3))) std::nullopt_t
+fail(std::string &error, const char *fmt, ...)
+{
+    char buffer[512];
+    va_list args;
+    va_start(args, fmt);
+    std::vsnprintf(buffer, sizeof(buffer), fmt, args);
+    va_end(args);
+    error = buffer;
+    return std::nullopt;
+}
+
 /** Index of the first non-blank character, or npos for blank lines. */
 std::size_t
 firstNonBlank(const std::string &line)
@@ -53,31 +68,35 @@ firstNonBlank(const std::string &line)
 
 } // namespace
 
-CooMatrix
-readMatrixMarket(std::istream &in)
+std::optional<CooMatrix>
+readMatrixMarket(std::istream &in, std::string &error)
 {
     std::string line;
     if (!getlineTrimCr(in, line))
-        chason_fatal("matrix market: empty stream");
+        return fail(error, "matrix market: empty stream");
 
     std::istringstream banner(line);
     std::string tag, object, format, field, symmetry;
     banner >> tag >> object >> format >> field >> symmetry;
     if (lower(tag) != "%%matrixmarket")
-        chason_fatal("matrix market: missing %%%%MatrixMarket banner");
+        return fail(error,
+                    "matrix market: missing %%%%MatrixMarket banner");
     object = lower(object);
     format = lower(format);
     field = lower(field);
     symmetry = lower(symmetry);
     if (object != "matrix" || format != "coordinate")
-        chason_fatal("matrix market: only 'matrix coordinate' supported, "
-                     "got '%s %s'", object.c_str(), format.c_str());
+        return fail(error,
+                    "matrix market: only 'matrix coordinate' supported, "
+                    "got '%s %s'",
+                    object.c_str(), format.c_str());
     if (field != "real" && field != "integer" && field != "pattern")
-        chason_fatal("matrix market: unsupported field '%s'", field.c_str());
+        return fail(error, "matrix market: unsupported field '%s'",
+                    field.c_str());
     if (symmetry != "general" && symmetry != "symmetric" &&
         symmetry != "skew-symmetric") {
-        chason_fatal("matrix market: unsupported symmetry '%s'",
-                     symmetry.c_str());
+        return fail(error, "matrix market: unsupported symmetry '%s'",
+                    symmetry.c_str());
     }
 
     // Skip comments. Real-world writers also leave blank lines and
@@ -92,21 +111,24 @@ readMatrixMarket(std::istream &in)
         break;
     }
     if (!haveSizeLine)
-        chason_fatal("matrix market: truncated before size line");
+        return fail(error, "matrix market: truncated before size line");
 
     std::istringstream dims(line);
     long long rows = 0, cols = 0, entries = 0;
     if (!(dims >> rows >> cols >> entries) || rows <= 0 || cols <= 0 ||
         entries < 0) {
-        chason_fatal("matrix market: bad size line '%s'", line.c_str());
+        return fail(error, "matrix market: bad size line '%s'",
+                    line.c_str());
     }
     // Indices are stored as uint32_t; a matrix that does not fit would
     // silently alias rows/columns after the cast below.
     constexpr long long kMaxDim =
         std::numeric_limits<std::uint32_t>::max();
     if (rows > kMaxDim || cols > kMaxDim) {
-        chason_fatal("matrix market: dimensions %lldx%lld overflow "
-                     "32-bit indices", rows, cols);
+        return fail(error,
+                    "matrix market: dimensions %lldx%lld overflow "
+                    "32-bit indices",
+                    rows, cols);
     }
 
     const bool pattern = field == "pattern";
@@ -119,7 +141,8 @@ readMatrixMarket(std::istream &in)
         long long r = 0, c = 0;
         double v = 1.0;
         if (!(in >> r >> c))
-            chason_fatal("matrix market: truncated at entry %lld", i);
+            return fail(error, "matrix market: truncated at entry %lld",
+                        i);
         if (!pattern) {
             // Via strtod rather than operator>>: C writers emit "nan"
             // and "inf", which libstdc++ streams refuse to parse at
@@ -128,20 +151,25 @@ readMatrixMarket(std::istream &in)
             // its row touches.
             std::string token;
             if (!(in >> token))
-                chason_fatal("matrix market: missing value at entry %lld",
-                             i);
+                return fail(error,
+                            "matrix market: missing value at entry %lld",
+                            i);
             char *end = nullptr;
             v = std::strtod(token.c_str(), &end);
             if (end == token.c_str() || *end != '\0')
-                chason_fatal("matrix market: bad value '%s' at entry %lld",
-                             token.c_str(), i);
+                return fail(error,
+                            "matrix market: bad value '%s' at entry %lld",
+                            token.c_str(), i);
             if (!std::isfinite(v))
-                chason_fatal("matrix market: non-finite value '%s' at "
-                             "entry %lld", token.c_str(), i);
+                return fail(error,
+                            "matrix market: non-finite value '%s' at "
+                            "entry %lld",
+                            token.c_str(), i);
         }
         if (r < 1 || r > rows || c < 1 || c > cols)
-            chason_fatal("matrix market: entry (%lld,%lld) out of bounds",
-                         r, c);
+            return fail(error,
+                        "matrix market: entry (%lld,%lld) out of bounds",
+                        r, c);
         const auto row = static_cast<std::uint32_t>(r - 1);
         const auto col = static_cast<std::uint32_t>(c - 1);
         coo.add(row, col, static_cast<float>(v));
@@ -151,13 +179,14 @@ readMatrixMarket(std::istream &in)
     return coo;
 }
 
-CooMatrix
-readMatrixMarketFile(const std::string &path)
+std::optional<CooMatrix>
+readMatrixMarketFile(const std::string &path, std::string &error)
 {
     std::ifstream in(path);
     if (!in)
-        chason_fatal("cannot open matrix market file '%s'", path.c_str());
-    return readMatrixMarket(in);
+        return fail(error, "cannot open matrix market file '%s'",
+                    path.c_str());
+    return readMatrixMarket(in, error);
 }
 
 void

@@ -15,6 +15,7 @@
 #define CHASON_SPARSE_MATRIX_MARKET_H_
 
 #include <iosfwd>
+#include <optional>
 #include <string>
 
 #include "sparse/formats.h"
@@ -22,11 +23,17 @@
 namespace chason {
 namespace sparse {
 
-/** Parse a Matrix Market stream. Calls fatal() on malformed input. */
-CooMatrix readMatrixMarket(std::istream &in);
+/**
+ * Parse a Matrix Market stream. Malformed input returns nullopt with
+ * the reason ("matrix market: ...") in @p error; parsing never calls
+ * fatal(), so untrusted bytes (a client's .mtx) are safe to feed it.
+ */
+std::optional<CooMatrix> readMatrixMarket(std::istream &in,
+                                          std::string &error);
 
-/** Load a .mtx file from disk. Calls fatal() if it cannot be opened. */
-CooMatrix readMatrixMarketFile(const std::string &path);
+/** Load a .mtx file from disk; nullopt with @p error set on failure. */
+std::optional<CooMatrix> readMatrixMarketFile(const std::string &path,
+                                              std::string &error);
 
 /** Serialize in "matrix coordinate real general" form (1-based). */
 void writeMatrixMarket(const CooMatrix &matrix, std::ostream &out);

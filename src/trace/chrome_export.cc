@@ -10,6 +10,7 @@
 #include <set>
 #include <sstream>
 
+#include "common/json_escape.h"
 #include "common/logging.h"
 
 namespace chason {
@@ -19,43 +20,6 @@ namespace {
 
 constexpr int kDevicePid = 1;
 constexpr int kHostPid = 2;
-
-/** JSON string escaping (same contract as core::jsonEscape; duplicated
- *  because the trace library sits below core). */
-std::string
-escape(const std::string &raw)
-{
-    std::string out;
-    out.reserve(raw.size());
-    for (unsigned char c : raw) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += static_cast<char>(c);
-            }
-        }
-    }
-    return out;
-}
 
 void
 appendNumber(std::string &out, double value)
@@ -80,7 +44,7 @@ appendMetadata(std::string &out, const char *kind, int pid, int tid,
         std::snprintf(buf, sizeof(buf), "\"tid\":%d,", tid);
         out += buf;
     }
-    out += "\"args\":{\"name\":\"" + escape(name) + "\"}}";
+    out += "\"args\":{\"name\":\"" + common::jsonEscape(name) + "\"}}";
 }
 
 std::string
@@ -131,7 +95,7 @@ chromeTraceJson(const TraceSink &sink)
         if (!first)
             out += ',';
         first = false;
-        out += "{\"ph\":\"X\",\"name\":\"" + escape(s.name) +
+        out += "{\"ph\":\"X\",\"name\":\"" + common::jsonEscape(s.name) +
             "\",\"cat\":\"";
         out += categoryName(s.cat);
         char buf[64];
@@ -166,7 +130,8 @@ chromeTraceJson(const TraceSink &sink)
         std::snprintf(buf, sizeof(buf),
                       "\",\"s\":\"t\",\"pid\":%d,\"tid\":%u,\"ts\":",
                       kHostPid, i.track);
-        out += "{\"ph\":\"i\",\"name\":\"" + escape(i.name) + buf;
+        out += "{\"ph\":\"i\",\"name\":\"" + common::jsonEscape(i.name) +
+            buf;
         appendNumber(out, i.tsUs);
         out += '}';
     }
@@ -178,7 +143,8 @@ chromeTraceJson(const TraceSink &sink)
         char buf[48];
         std::snprintf(buf, sizeof(buf),
                       "\",\"pid\":%d,\"tid\":0,\"ts\":", kHostPid);
-        out += "{\"ph\":\"C\",\"name\":\"" + escape(c.name) + buf;
+        out += "{\"ph\":\"C\",\"name\":\"" + common::jsonEscape(c.name) +
+            buf;
         appendNumber(out, c.tsUs);
         out += ",\"args\":{\"value\":";
         appendNumber(out, c.value);
@@ -215,7 +181,7 @@ countersJson(const TraceSink &sink)
         if (!first)
             out += ',';
         first = false;
-        out += '"' + escape(name) + "\":";
+        out += '"' + common::jsonEscape(name) + "\":";
         char buf[32];
         std::snprintf(buf, sizeof(buf), "%llu",
                       static_cast<unsigned long long>(value));
@@ -227,7 +193,7 @@ countersJson(const TraceSink &sink)
         if (!first)
             out += ',';
         first = false;
-        out += '"' + escape(name) + "\":";
+        out += '"' + common::jsonEscape(name) + "\":";
         char buf[32];
         std::snprintf(buf, sizeof(buf), "%llu",
                       static_cast<unsigned long long>(value));

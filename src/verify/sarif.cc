@@ -14,6 +14,7 @@
 
 #include "common/buildinfo.h"
 #include "common/hash.h"
+#include "common/json_escape.h"
 #include "verify/rules.h"
 
 namespace chason {
@@ -46,7 +47,7 @@ void
 appendQuoted(std::string &out, const std::string &text)
 {
     out += '"';
-    out += jsonEscape(text);
+    out += common::jsonEscape(text);
     out += '"';
 }
 
@@ -159,41 +160,6 @@ emitRun(std::string &out, const SarifRun &run)
 }
 
 } // namespace
-
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size() + 8);
-    for (unsigned char c : text) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\r':
-            out += "\\r";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += static_cast<char>(c);
-            }
-        }
-    }
-    return out;
-}
 
 int
 SarifRun::addRule(const SarifRule &rule)

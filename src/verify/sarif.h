@@ -141,9 +141,6 @@ class SarifLog
     std::vector<Entry> results_;
 };
 
-/** Escape a string for embedding in a JSON string literal. */
-std::string jsonEscape(const std::string &text);
-
 /**
  * Stable finding identity for baseline diffs: FNV-1a 64 over
  * "ruleId|uri|message", rendered as 16 hex digits. Line numbers are

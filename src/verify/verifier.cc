@@ -115,8 +115,9 @@ checkEncoding(const Schedule &schedule, DiagnosticEngine &engine)
     if (cfg.migrationDepth > 1) {
         engine.report(rule::kEncodingOverflow, Severity::kNote, {},
                       format("migrationDepth %u cannot be named by the "
-                             "1-bit pvt flag; schedule_io rejects this "
-                             "artifact (simulation is unaffected)",
+                             "1-bit pvt flag; the 64-bit wire encoding "
+                             "cannot carry this schedule (simulation "
+                             "and CHSA storage are unaffected)",
                              cfg.migrationDepth));
     }
 }

@@ -23,8 +23,44 @@
 #include "common/rng.h"
 #include "core/report_json.h"
 #include "sched/artifact.h"
-#include "sched/schedule_io.h"
+#include "sched/schedule.h"
 #include "sparse/generators.h"
+
+// Count thread creations by interposing pthread_create (std::thread
+// calls it through the dynamic linker, which finds this definition
+// first). Sanitizer runtimes intercept pthread_create themselves, so
+// the counter is compiled out there and its test skips.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define CHASON_COUNT_THREADS 0
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define CHASON_COUNT_THREADS 0
+#endif
+#endif
+#ifndef CHASON_COUNT_THREADS
+#define CHASON_COUNT_THREADS 1
+#endif
+
+#if CHASON_COUNT_THREADS
+#include <dlfcn.h>
+#include <pthread.h>
+
+namespace {
+std::atomic<unsigned> threadsCreated{0};
+} // namespace
+
+extern "C" int
+pthread_create(pthread_t *thread, const pthread_attr_t *attr,
+               void *(*start)(void *), void *arg) noexcept
+{
+    using Create = int (*)(pthread_t *, const pthread_attr_t *,
+                           void *(*)(void *), void *);
+    static const Create real =
+        reinterpret_cast<Create>(dlsym(RTLD_NEXT, "pthread_create"));
+    threadsCreated.fetch_add(1);
+    return real(thread, attr, start, arg);
+}
+#endif
 
 namespace chason {
 namespace core {
@@ -215,6 +251,47 @@ TEST(ArtifactCache, ForeignKeyedArtifactIsRejected)
     EXPECT_EQ(reader.stats().corrupt, 1u);
     EXPECT_EQ(reader.stats().diskHits, 0u);
     std::filesystem::remove_all(dir);
+}
+
+// A disk hit runs on the caller's thread, often a BatchEngine worker:
+// even an artifact whose payload spans several 4 MiB checksum chunks
+// is verified without starting a thread.
+TEST(ArtifactCache, MultiChunkDiskHitStartsNoThread)
+{
+#if !CHASON_COUNT_THREADS
+    GTEST_SKIP() << "the sanitizer runtime owns pthread_create";
+#else
+    const std::string dir = artifactDir("no_threads");
+    const Engine engine(Engine::Kind::Chason);
+    Rng rng(9);
+    const sparse::CsrMatrix a = sparse::rmat(15, std::size_t{1} << 19, rng);
+    {
+        ScheduleCache writer;
+        writer.setArtifactDir(dir);
+        writer.get(engine, a);
+        ASSERT_EQ(writer.stats().persisted, 1u);
+    }
+    {
+        sched::ArtifactError error;
+        const sched::ArtifactReader reader = sched::ArtifactReader::open(
+            storedPath(dir, engine, a), &error);
+        ASSERT_TRUE(reader.ok()) << error.detail;
+        ASSERT_GT(reader.info().payloadBytes, sched::kArtifactChunkBytes);
+    }
+
+    // The counter sees std::thread, or this test would prove nothing.
+    const unsigned probe = threadsCreated.load();
+    std::thread([] {}).join();
+    ASSERT_EQ(threadsCreated.load() - probe, 1u);
+
+    ScheduleCache reader;
+    reader.setArtifactDir(dir);
+    const unsigned before = threadsCreated.load();
+    reader.get(engine, a);
+    EXPECT_EQ(threadsCreated.load() - before, 0u);
+    EXPECT_EQ(reader.stats().diskHits, 1u);
+    std::filesystem::remove_all(dir);
+#endif
 }
 
 TEST(ArtifactCache, StatsJsonCarriesDiskTierCounters)

@@ -6,8 +6,8 @@
  * parallel phase scheduling on a caller-owned pool, the SoA/AVX2
  * streaming core, the precomputed StreamPlan, PEG pooling, the blocked
  * column scatter — may change one bit of any result. These tests pin
- * that contract on three R-MAT tiers: pooled CrHCS must serialize to
- * the exact bytes of the calling-thread schedule at every pool size,
+ * that contract on three R-MAT tiers: pooled CrHCS must produce the
+ * calling-thread schedule slot for slot at every pool size,
  * the planned simulation must reproduce run() exactly (y, every cycle
  * counter, the report JSON), and the cache-blocked scatter must
  * produce the direct scatter's arrays.
@@ -15,7 +15,7 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <string>
 #include <vector>
 
 #include "arch/chason_accel.h"
@@ -25,9 +25,9 @@
 #include "core/report_json.h"
 #include "core/thread_pool.h"
 #include "sched/crhcs.h"
-#include "sched/schedule_io.h"
 #include "sparse/csc.h"
 #include "sparse/generators.h"
+#include "support/schedule_equal.h"
 
 namespace chason {
 namespace {
@@ -56,14 +56,6 @@ tierMatrix(const Tier &tier)
     return sparse::rmat(tier.scale, tier.nnzTarget, rng);
 }
 
-std::string
-scheduleBytes(const sched::Schedule &schedule)
-{
-    std::ostringstream out;
-    sched::writeSchedule(schedule, out);
-    return out.str();
-}
-
 TEST(PerfDeterminism, ParallelSchedulingIsBitIdentical)
 {
     const sched::SchedConfig config;
@@ -71,18 +63,19 @@ TEST(PerfDeterminism, ParallelSchedulingIsBitIdentical)
         SCOPED_TRACE(tier.name);
         const sparse::CsrMatrix a = tierMatrix(tier);
 
-        const std::string bytes =
-            scheduleBytes(sched::CrhcsScheduler(config).schedule(a));
+        const sched::Schedule serial =
+            sched::CrhcsScheduler(config).schedule(a);
         // Oversubscribed pools on small machines are fine — and exactly
         // the point: the (pass, window) fan-out, the work-stealing pool
-        // and the sharded migration setup must serialize to the same
-        // bytes at *every* pool size.
+        // and the sharded migration setup must produce the same
+        // schedule at *every* pool size.
         for (const unsigned workers : kPoolSizes) {
             SCOPED_TRACE(workers);
             core::ThreadPool pool(workers);
             const sched::CrhcsScheduler parallel(
                 config, sched::MigrationStrategy::BeatSynchronous, &pool);
-            EXPECT_EQ(bytes, scheduleBytes(parallel.schedule(a)));
+            testing_support::expectEqualSchedules(serial,
+                                                  parallel.schedule(a));
         }
     }
 }

@@ -26,13 +26,25 @@ smallConfig()
     return cfg;
 }
 
+// The one JSON escape (common/json_escape.h) behind the report JSON,
+// the SARIF log, the Chrome trace and the serving protocol.
 TEST(JsonEscape, HandlesSpecials)
 {
     EXPECT_EQ(jsonEscape("plain"), "plain");
     EXPECT_EQ(jsonEscape("a\"b"), "a\\\"b");
     EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
+    EXPECT_EQ(jsonEscape("a\nb"), "a\\nb");
+    EXPECT_EQ(jsonEscape("a\tb"), "a\\tb");
+    EXPECT_EQ(jsonEscape("a\rb"), "a\\rb");
     EXPECT_EQ(jsonEscape("a\nb\tc"), "a\\nb\\tc");
     EXPECT_EQ(jsonEscape(std::string(1, '\x01')), "\\u0001");
+    // Bytes at and above 0x20, UTF-8 included, pass through unchanged.
+    EXPECT_EQ(jsonEscape(" ~\x7f\xc3\xa9"), " ~\x7f\xc3\xa9");
+}
+
+TEST(JsonEscape, CoreNameIsTheCommonImplementation)
+{
+    EXPECT_EQ(&core::jsonEscape, &common::jsonEscape);
 }
 
 /** Inverse of jsonEscape for the escapes it emits, to prove the

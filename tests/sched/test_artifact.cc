@@ -9,6 +9,7 @@
 
 #include "sched/artifact.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -234,18 +235,37 @@ TEST(ArtifactFile, MutationDetachesFromMapping)
     std::filesystem::remove(path);
 }
 
-TEST(ArtifactFile, PayloadVerdictIndependentOfJobCount)
+TEST(ArtifactFile, PayloadDigestSpansChunks)
 {
-    const Schedule original = sampleSchedule(4, true);
-    const std::string path = writeSample(original, "jobs");
-
-    for (const unsigned jobs : {1u, 2u, 7u}) {
+    // One payload inside a single 4 MiB chunk and one spanning several:
+    // the reader's digest over the contiguous mapping must equal the
+    // writer's streamed one, and a byte flipped in the last chunk must
+    // still be caught.
+    Rng rng(4);
+    const Schedule schedules[] = {
+        sampleSchedule(4, true),
+        PeAwareScheduler(SchedConfig{}).schedule(
+            sparse::rmat(15, std::size_t{1} << 19, rng)),
+    };
+    std::uint64_t largest = 0;
+    for (const Schedule &schedule : schedules) {
+        const std::string path = writeSample(schedule, "chunks");
         ArtifactError error;
+        {
+            const ArtifactReader reader =
+                ArtifactReader::open(path, &error);
+            ASSERT_TRUE(reader.ok()) << error.detail;
+            EXPECT_TRUE(reader.payloadIntact(&error)) << error.detail;
+            largest = std::max(largest, reader.info().payloadBytes);
+        }
+        flipByte(path, std::filesystem::file_size(path) - 17);
         const ArtifactReader reader = ArtifactReader::open(path, &error);
         ASSERT_TRUE(reader.ok()) << error.detail;
-        EXPECT_TRUE(reader.payloadIntact(&error, jobs)) << error.detail;
+        EXPECT_FALSE(reader.payloadIntact(&error));
+        EXPECT_EQ(error.status, ArtifactStatus::kBadChecksum);
+        std::filesystem::remove(path);
     }
-    std::filesystem::remove(path);
+    EXPECT_GT(largest, 2 * kArtifactChunkBytes);
 }
 
 TEST(ArtifactReject, NotAnArtifact)
@@ -348,11 +368,11 @@ TEST(ArtifactReject, TamperedPayloadCaughtByDeepCheck)
     const ArtifactReader reader = ArtifactReader::open(path, &error);
     // Header and section tables are intact: open() succeeds...
     ASSERT_TRUE(reader.ok()) << error.detail;
-    // ...and the payload digest is what catches it, on any job count.
-    EXPECT_FALSE(reader.payloadIntact(&error, 3));
+    // ...and the payload digest is what catches it.
+    EXPECT_FALSE(reader.payloadIntact(&error));
     EXPECT_EQ(error.status, ArtifactStatus::kBadChecksum);
     // The verdict is cached: asking again must not flip it.
-    EXPECT_FALSE(reader.payloadIntact(&error, 1));
+    EXPECT_FALSE(reader.payloadIntact(&error));
     std::filesystem::remove(path);
 }
 

@@ -1,16 +1,26 @@
 /**
  * @file
- * Unit tests for the schedule containers, phase bucketing and the wire
- * encoding round trip.
+ * Unit tests for the schedule containers, phase bucketing and the §3.2
+ * wire encoding: every scheduler's schedule, migrated elements
+ * included, decodes to the same slots, stays verifier-clean and
+ * simulates identically; a depth-2 schedule is not encodable.
  */
 
 #include "sched/schedule.h"
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "arch/chason_accel.h"
 #include "common/rng.h"
+#include "sched/analyzer.h"
+#include "sched/crhcs.h"
 #include "sched/pe_aware.h"
+#include "sched/row_based.h"
 #include "sparse/generators.h"
+#include "support/schedule_equal.h"
+#include "verify/verifier.h"
 
 namespace chason {
 namespace sched {
@@ -172,42 +182,113 @@ TEST(BuildPhaseWork, RowSplitAcrossWindowsKeepsColumnOrder)
     }
 }
 
-TEST(EncodeDecode, RoundTripOnRealSchedule)
+/**
+ * The schedule rebuilt from its §3.2 wire encoding: every (phase,
+ * channel) stream encoded to 64-bit words and decoded back.
+ */
+Schedule
+wireRoundTrip(const Schedule &original)
 {
-    SchedConfig cfg;
-    cfg.channels = 16;
-    cfg.rawDistance = 10;
-    Rng rng(5);
-    const sparse::CsrMatrix a = sparse::erdosRenyi(500, 500, 4000, rng);
-    const Schedule sch = PeAwareScheduler(cfg).schedule(a);
-
-    ASSERT_FALSE(sch.phases.empty());
-    for (std::size_t phase = 0; phase < sch.phases.size(); ++phase) {
-        for (unsigned ch = 0; ch < cfg.channels; ++ch) {
-            const auto words = encodeChannelStream(sch, phase, ch);
-            const ChannelWindowSchedule decoded = decodeChannelStream(
-                cfg, words, sch.phases[phase].pass,
-                sch.phases[phase].window, ch);
-            const ChannelWindowSchedule &orig =
-                sch.phases[phase].channels[ch];
-            ASSERT_EQ(decoded.length(), orig.length());
-            for (std::size_t t = 0; t < orig.length(); ++t) {
-                for (unsigned p = 0; p < cfg.pesPerGroup(); ++p) {
-                    const Slot &o = orig.beats[t].slots[p];
-                    const Slot &d = decoded.beats[t].slots[p];
-                    ASSERT_EQ(d.valid, o.valid);
-                    if (!o.valid)
-                        continue;
-                    EXPECT_EQ(d.row, o.row);
-                    EXPECT_EQ(d.col, o.col);
-                    EXPECT_EQ(d.value, o.value);
-                    EXPECT_EQ(d.pvt, o.pvt);
-                    EXPECT_EQ(d.peSrc, o.peSrc);
-                    EXPECT_EQ(d.chSrc, o.chSrc);
-                }
-            }
+    Schedule decoded = original;
+    for (std::size_t ph = 0; ph < original.phases.size(); ++ph) {
+        WindowSchedule &phase = decoded.phases[ph];
+        for (unsigned ch = 0; ch < original.config.channels; ++ch) {
+            phase.channels[ch] = decodeChannelStream(
+                original.config, encodeChannelStream(original, ph, ch),
+                phase.pass, phase.window, ch);
         }
     }
+    return decoded;
+}
+
+// Every scheduler family's schedule, CrHCS migrations included,
+// decodes from its wire encoding to the same slots and stays
+// verifier-clean, completeness checked against the source matrix.
+TEST(EncodeDecode, RoundTripOnRealSchedules)
+{
+    Rng er_rng(5), arrow_rng(2), zipf_rng(8);
+    const sparse::CsrMatrix er =
+        sparse::erdosRenyi(500, 500, 4000, er_rng);
+    const sparse::CsrMatrix arrow =
+        sparse::arrowBanded(800, 6, 0.3, 2, arrow_rng);
+    const sparse::CsrMatrix zipf =
+        sparse::zipfRows(1200, 1200, 9000, 1.2, zipf_rng);
+    SchedConfig wide;
+    wide.channels = 16;
+    wide.rawDistance = 10;
+    SchedConfig serial;
+    serial.migrationDepth = 0;
+    const std::pair<const sparse::CsrMatrix *, Schedule> inputs[] = {
+        {&er, PeAwareScheduler(wide).schedule(er)},
+        {&arrow, CrhcsScheduler(SchedConfig{}).schedule(arrow)},
+        {&zipf, RowBasedScheduler(serial).schedule(zipf)},
+        {&zipf, PeAwareScheduler(serial).schedule(zipf)},
+        {&zipf, CrhcsScheduler(SchedConfig{}).schedule(zipf)},
+    };
+
+    std::size_t migrated = 0;
+    for (const auto &[matrix, original] : inputs) {
+        SCOPED_TRACE(original.scheduler);
+        ASSERT_FALSE(original.phases.empty());
+        for (const WindowSchedule &phase : original.phases)
+            for (const ChannelWindowSchedule &ch : phase.channels)
+                for (const Beat &beat : ch.beats)
+                    for (unsigned p = 0; p < original.config.pesPerGroup();
+                         ++p)
+                        migrated += beat.slots[p].valid &&
+                            !beat.slots[p].pvt;
+
+        const Schedule decoded = wireRoundTrip(original);
+        testing_support::expectEqualSchedules(original, decoded);
+        verify::VerifyOptions options;
+        options.matrix = matrix;
+        const verify::VerifyResult result =
+            verify::verifySchedule(decoded, options);
+        EXPECT_TRUE(result.clean()) << result.summary();
+        EXPECT_EQ(result.errors, 0u);
+        EXPECT_EQ(result.warnings, 0u);
+    }
+    // The inputs exercise the pvt = 0 / PE_src encoding.
+    EXPECT_GT(migrated, 0u);
+}
+
+// The 64-bit format carries everything the datapath needs: a decoded
+// schedule simulates to the same y, bit for bit, in the same cycles.
+TEST(EncodeDecode, DecodedScheduleSimulatesIdentically)
+{
+    Rng rng(3);
+    const sparse::CsrMatrix a = sparse::arrowBanded(800, 6, 0.3, 2, rng);
+    const std::vector<float> x = sparse::randomVector(a.cols(), rng);
+    const arch::ArchConfig cfg;
+    const Schedule original = CrhcsScheduler(cfg.sched).schedule(a);
+    const Schedule decoded = wireRoundTrip(original);
+
+    const arch::ChasonAccelerator accel(cfg);
+    const arch::RunResult r1 = accel.run(original, x);
+    const arch::RunResult r2 = accel.run(decoded, x);
+    EXPECT_EQ(r1.y, r2.y);
+    EXPECT_EQ(r1.cycles.total(), r2.cycles.total());
+    validateSchedule(decoded, a);
+}
+
+TEST(EncodeDecodeDeath, DeepMigrationIsNotEncodable)
+{
+    Rng rng(7);
+    const sparse::CsrMatrix a = sparse::zipfRows(64, 64, 500, 1.3, rng);
+    SchedConfig cfg;
+    cfg.channels = 8;
+    cfg.migrationDepth = 2;
+    const Schedule sch = CrhcsScheduler(cfg).schedule(a);
+    ASSERT_FALSE(sch.phases.empty());
+    EXPECT_DEATH(encodeChannelStream(sch, 0, 0), "immediate next channel");
+}
+
+TEST(Schedule, ArtifactBytesMatchAnalyzer)
+{
+    Rng rng(6);
+    const sparse::CsrMatrix a = sparse::arrowBanded(800, 6, 0.3, 2, rng);
+    const Schedule sch = CrhcsScheduler(SchedConfig{}).schedule(a);
+    EXPECT_EQ(scheduleArtifactBytes(sch), analyze(sch).matrixBytes);
 }
 
 TEST(Schedule, GeometryHelpers)

@@ -1,108 +1,149 @@
 /**
  * @file
- * Tests for schedule serialization: the artifact round trip must
- * preserve the schedule exactly, and a schedule reconstructed from the
- * wire encoding must simulate identically — functionally and in cycles.
+ * Tests for schedule file I/O. A schedule reaches disk only as a CHSA
+ * artifact keyed by core::artifactKey(scheduleKey) and comes back only
+ * through core::loadArtifact. The round trip must preserve the
+ * schedule slot for slot, leave it verifier-clean and simulating
+ * identically, and a bad file must be rejected with a reason rather
+ * than ending the process.
  */
 
-#include "sched/schedule_io.h"
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "arch/chason_accel.h"
 #include "common/rng.h"
+#include "core/schedule_cache.h"
 #include "sched/analyzer.h"
+#include "sched/artifact.h"
 #include "sched/crhcs.h"
 #include "sched/pe_aware.h"
 #include "sched/row_based.h"
 #include "sparse/generators.h"
+#include "support/schedule_equal.h"
 #include "verify/verifier.h"
 
 namespace chason {
 namespace sched {
 namespace {
 
-Schedule
-sampleSchedule(std::uint64_t seed, bool migrated)
+using testing_support::expectEqualSchedules;
+
+std::string
+tempPath(const char *name)
 {
-    Rng rng(seed);
-    const sparse::CsrMatrix a =
-        sparse::arrowBanded(800, 6, 0.3, 2, rng);
-    SchedConfig cfg;
-    cfg.migrationDepth = migrated ? 1 : 0;
-    if (migrated)
-        return CrhcsScheduler(cfg).schedule(a);
-    return PeAwareScheduler(cfg).schedule(a);
+    return ::testing::TempDir() + "chason_schedule_io_" + name + ".chsa";
 }
 
-void
-expectEqualSchedules(const Schedule &a, const Schedule &b)
+/** Schedule @p a with @p scheduler, save it under its key, load it back. */
+std::optional<Schedule>
+saveAndLoad(const Scheduler &scheduler, const sparse::CsrMatrix &a,
+            const Schedule &original, const char *name)
 {
-    ASSERT_EQ(a.phases.size(), b.phases.size());
-    EXPECT_EQ(a.rows, b.rows);
-    EXPECT_EQ(a.cols, b.cols);
-    EXPECT_EQ(a.nnz, b.nnz);
-    EXPECT_EQ(a.scheduler, b.scheduler);
-    for (std::size_t ph = 0; ph < a.phases.size(); ++ph) {
-        const WindowSchedule &pa = a.phases[ph];
-        const WindowSchedule &pb = b.phases[ph];
-        EXPECT_EQ(pa.pass, pb.pass);
-        EXPECT_EQ(pa.window, pb.window);
-        EXPECT_EQ(pa.alignedBeats, pb.alignedBeats);
-        ASSERT_EQ(pa.channels.size(), pb.channels.size());
-        for (std::size_t ch = 0; ch < pa.channels.size(); ++ch) {
-            ASSERT_EQ(pa.channels[ch].length(), pb.channels[ch].length());
-            for (std::size_t t = 0; t < pa.channels[ch].length(); ++t) {
-                for (unsigned p = 0; p < a.config.pesPerGroup(); ++p) {
-                    const Slot &sa = pa.channels[ch].beats[t].slots[p];
-                    const Slot &sb = pb.channels[ch].beats[t].slots[p];
-                    ASSERT_EQ(sa.valid, sb.valid);
-                    if (!sa.valid)
-                        continue;
-                    EXPECT_EQ(sa.row, sb.row);
-                    EXPECT_EQ(sa.col, sb.col);
-                    EXPECT_EQ(sa.value, sb.value);
-                    EXPECT_EQ(sa.pvt, sb.pvt);
-                    EXPECT_EQ(sa.peSrc, sb.peSrc);
-                    EXPECT_EQ(sa.chSrc, sb.chSrc);
-                }
-            }
-        }
-    }
+    const core::ScheduleKey key = core::scheduleKey(scheduler, a);
+    const std::string path = tempPath(name);
+    ArtifactError error;
+    EXPECT_TRUE(writeArtifactFile(original, core::artifactKey(key), path,
+                                  &error))
+        << error.detail;
+    std::string why;
+    std::optional<Schedule> restored = core::loadArtifact(path, key, why);
+    EXPECT_TRUE(restored.has_value()) << why;
+    return restored;
 }
 
-TEST(ScheduleIo, RoundTripPeAware)
+std::size_t
+migratedSlots(const Schedule &schedule)
 {
-    const Schedule original = sampleSchedule(1, false);
-    std::stringstream buffer;
-    writeSchedule(original, buffer);
-    const Schedule restored = readSchedule(buffer);
-    expectEqualSchedules(original, restored);
-}
-
-TEST(ScheduleIo, RoundTripCrhcsWithMigratedElements)
-{
-    const Schedule original = sampleSchedule(2, true);
-    // Confirm the sample actually contains migrated work.
     std::size_t migrated = 0;
-    for (const WindowSchedule &phase : original.phases) {
+    for (const WindowSchedule &phase : schedule.phases) {
         for (const auto &ch : phase.channels) {
-            for (const Beat &beat : ch.beats) {
-                for (unsigned p = 0; p < 8; ++p) {
-                    if (beat.slots[p].valid && !beat.slots[p].pvt)
+            for (std::size_t t = 0; t < ch.length(); ++t) {
+                for (unsigned p = 0; p < schedule.config.pesPerGroup();
+                     ++p) {
+                    const Slot &slot = ch.beats[t].slots[p];
+                    if (slot.valid && !slot.pvt)
                         ++migrated;
                 }
             }
         }
     }
-    ASSERT_GT(migrated, 0u);
+    return migrated;
+}
 
-    std::stringstream buffer;
-    writeSchedule(original, buffer);
-    const Schedule restored = readSchedule(buffer);
-    expectEqualSchedules(original, restored);
+// Save -> load -> verify for each scheduler family: the restored
+// schedule must be slot-identical to the original AND pass the static
+// verifier with completeness checked against the source matrix.
+TEST(ScheduleIo, RoundTripVerifierCleanAllSchedulers)
+{
+    Rng rng(8);
+    const sparse::CsrMatrix a = sparse::zipfRows(1200, 1200, 9000, 1.2, rng);
+
+    SchedConfig serial;
+    serial.migrationDepth = 0;
+    std::vector<std::unique_ptr<Scheduler>> schedulers;
+    schedulers.push_back(std::make_unique<RowBasedScheduler>(serial));
+    schedulers.push_back(std::make_unique<PeAwareScheduler>(serial));
+    schedulers.push_back(std::make_unique<CrhcsScheduler>(SchedConfig{}));
+
+    for (const auto &scheduler : schedulers) {
+        SCOPED_TRACE(scheduler->name());
+        const Schedule original = scheduler->schedule(a);
+        const std::optional<Schedule> restored =
+            saveAndLoad(*scheduler, a, original, "all_schedulers");
+        ASSERT_TRUE(restored.has_value());
+        expectEqualSchedules(original, *restored);
+
+        verify::VerifyOptions options;
+        options.matrix = &a;
+        const verify::VerifyResult result =
+            verify::verifySchedule(*restored, options);
+        EXPECT_TRUE(result.clean()) << result.summary();
+        EXPECT_EQ(result.errors, 0u);
+        EXPECT_EQ(result.warnings, 0u);
+    }
+}
+
+TEST(ScheduleIo, RoundTripCrhcsWithMigratedElements)
+{
+    Rng rng(2);
+    const sparse::CsrMatrix a = sparse::arrowBanded(800, 6, 0.3, 2, rng);
+    const CrhcsScheduler scheduler{SchedConfig{}};
+    const Schedule original = scheduler.schedule(a);
+    // Confirm the sample actually contains migrated work.
+    ASSERT_GT(migratedSlots(original), 0u);
+
+    const std::optional<Schedule> restored =
+        saveAndLoad(scheduler, a, original, "migrated");
+    ASSERT_TRUE(restored.has_value());
+    expectEqualSchedules(original, *restored);
+    EXPECT_EQ(migratedSlots(*restored), migratedSlots(original));
+}
+
+// The file format carries migration deeper than the next channel,
+// which the wire encoding cannot express.
+TEST(ScheduleIo, DeepMigrationRoundTrips)
+{
+    Rng rng(7);
+    const sparse::CsrMatrix a = sparse::zipfRows(64, 64, 500, 1.3, rng);
+    SchedConfig cfg;
+    cfg.channels = 8;
+    cfg.migrationDepth = 2;
+    const CrhcsScheduler scheduler(cfg);
+    const Schedule original = scheduler.schedule(a);
+
+    const std::optional<Schedule> restored =
+        saveAndLoad(scheduler, a, original, "deep");
+    ASSERT_TRUE(restored.has_value());
+    expectEqualSchedules(original, *restored);
+    validateSchedule(*restored, a);
 }
 
 TEST(ScheduleIo, RestoredScheduleSimulatesIdentically)
@@ -111,99 +152,73 @@ TEST(ScheduleIo, RestoredScheduleSimulatesIdentically)
     const sparse::CsrMatrix a = sparse::arrowBanded(800, 6, 0.3, 2, rng);
     const std::vector<float> x = sparse::randomVector(a.cols(), rng);
     const arch::ArchConfig cfg;
-    const Schedule original = CrhcsScheduler(cfg.sched).schedule(a);
+    const CrhcsScheduler scheduler(cfg.sched);
+    const Schedule original = scheduler.schedule(a);
 
-    std::stringstream buffer;
-    writeSchedule(original, buffer);
-    const Schedule restored = readSchedule(buffer);
+    const std::optional<Schedule> restored =
+        saveAndLoad(scheduler, a, original, "simulate");
+    ASSERT_TRUE(restored.has_value());
 
     const arch::ChasonAccelerator accel(cfg);
     const arch::RunResult r1 = accel.run(original, x);
-    const arch::RunResult r2 = accel.run(restored, x);
+    const arch::RunResult r2 = accel.run(*restored, x);
     EXPECT_EQ(r1.y, r2.y); // bit-identical results
     EXPECT_EQ(r1.cycles.total(), r2.cycles.total());
-    validateSchedule(restored, a);
+    validateSchedule(*restored, a);
 }
 
-TEST(ScheduleIo, FileRoundTrip)
+TEST(ScheduleIo, BadMagicRejected)
 {
-    const Schedule original = sampleSchedule(4, true);
-    const std::string path =
-        ::testing::TempDir() + "/chason_schedule_test.bin";
-    writeScheduleFile(original, path);
-    const Schedule restored = readScheduleFile(path);
-    expectEqualSchedules(original, restored);
-}
-
-TEST(ScheduleIoDeath, BadMagicFatal)
-{
-    std::stringstream buffer;
-    buffer.write("NOTASCHD........", 16);
-    EXPECT_EXIT(readSchedule(buffer), ::testing::ExitedWithCode(1),
-                "magic");
-}
-
-TEST(ScheduleIoDeath, TruncationFatal)
-{
-    const Schedule original = sampleSchedule(5, false);
-    std::stringstream buffer;
-    writeSchedule(original, buffer);
-    const std::string full = buffer.str();
-    std::stringstream cut(full.substr(0, full.size() / 2));
-    EXPECT_EXIT(readSchedule(cut), ::testing::ExitedWithCode(1),
-                "truncated");
-}
-
-// Save -> load -> verify for each scheduler family: the restored
-// artifact must be element-identical to the original AND pass the
-// static verifier with completeness checked against the source matrix.
-TEST(ScheduleIo, RoundTripVerifierCleanAllSchedulers)
-{
-    Rng rng(8);
-    const sparse::CsrMatrix a = sparse::zipfRows(1200, 1200, 9000, 1.2, rng);
-
-    std::vector<Schedule> originals;
+    Rng rng(4);
+    const sparse::CsrMatrix a = sparse::arrowBanded(200, 4, 0.3, 2, rng);
+    const PeAwareScheduler scheduler{SchedConfig{}};
+    const std::string path = tempPath("bad_magic");
     {
-        SchedConfig serial;
-        serial.migrationDepth = 0;
-        originals.push_back(RowBasedScheduler(serial).schedule(a));
-        originals.push_back(PeAwareScheduler(serial).schedule(a));
-        originals.push_back(CrhcsScheduler(SchedConfig{}).schedule(a));
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        const std::string junk(4096, 'x');
+        out.write(junk.data(), static_cast<std::streamsize>(junk.size()));
     }
-
-    for (const Schedule &original : originals) {
-        SCOPED_TRACE(original.scheduler);
-        std::stringstream buffer;
-        writeSchedule(original, buffer);
-        const Schedule restored = readSchedule(buffer);
-        expectEqualSchedules(original, restored);
-
-        verify::VerifyOptions options;
-        options.matrix = &a;
-        const verify::VerifyResult result =
-            verify::verifySchedule(restored, options);
-        EXPECT_TRUE(result.clean()) << result.summary();
-        EXPECT_EQ(result.errors, 0u);
-        EXPECT_EQ(result.warnings, 0u);
-    }
+    std::string why;
+    EXPECT_FALSE(core::loadArtifact(path, core::scheduleKey(scheduler, a),
+                                    why)
+                     .has_value());
+    EXPECT_NE(why.find("bad-magic"), std::string::npos) << why;
 }
 
-TEST(ScheduleIo, ArtifactBytesMatchAnalyzer)
+TEST(ScheduleIo, TruncationRejected)
 {
-    const Schedule sch = sampleSchedule(6, true);
-    EXPECT_EQ(scheduleArtifactBytes(sch), analyze(sch).matrixBytes);
+    Rng rng(5);
+    const sparse::CsrMatrix a = sparse::arrowBanded(800, 6, 0.3, 2, rng);
+    const PeAwareScheduler scheduler{SchedConfig{}};
+    const core::ScheduleKey key = core::scheduleKey(scheduler, a);
+    const std::string path = tempPath("truncated");
+    ASSERT_TRUE(writeArtifactFile(scheduler.schedule(a),
+                                  core::artifactKey(key), path));
+    std::filesystem::resize_file(path,
+                                 std::filesystem::file_size(path) / 2);
+
+    std::string why;
+    EXPECT_FALSE(core::loadArtifact(path, key, why).has_value());
+    EXPECT_NE(why.find("truncated"), std::string::npos) << why;
 }
 
-TEST(ScheduleIoDeath, DeepMigrationUnserializable)
+// A schedule saved for one matrix is not admitted for another.
+TEST(ScheduleIo, ForeignKeyRejected)
 {
-    Rng rng(7);
-    const sparse::CsrMatrix a = sparse::zipfRows(64, 64, 500, 1.3, rng);
-    SchedConfig cfg;
-    cfg.channels = 8;
-    cfg.migrationDepth = 2;
-    const Schedule sch = CrhcsScheduler(cfg).schedule(a);
-    std::stringstream buffer;
-    EXPECT_DEATH(writeSchedule(sch, buffer), "immediate next channel");
+    Rng rng(6);
+    const sparse::CsrMatrix a = sparse::arrowBanded(400, 6, 0.3, 2, rng);
+    const sparse::CsrMatrix b = sparse::arrowBanded(400, 6, 0.3, 2, rng);
+    const PeAwareScheduler scheduler{SchedConfig{}};
+    const std::string path = tempPath("foreign");
+    ASSERT_TRUE(writeArtifactFile(
+        scheduler.schedule(a),
+        core::artifactKey(core::scheduleKey(scheduler, a)), path));
+
+    std::string why;
+    EXPECT_FALSE(core::loadArtifact(path, core::scheduleKey(scheduler, b),
+                                    why)
+                     .has_value());
+    EXPECT_EQ(why, "foreign key");
 }
 
 } // namespace

@@ -183,6 +183,79 @@ TEST(ServeDaemon, TypedErrorsComeBackInRequestOrder)
     daemon.shutdown();
 }
 
+TEST(ServeDaemon, MalformedMatrixFileIsABadRequest)
+{
+    // Each file's error goes back to the client and the daemon keeps
+    // serving: a truncated .mtx (two entries declared, one present),
+    // and a well-formed one whose header declares 2^32 - 1 rows, for
+    // which building the CSR would allocate 32 GiB of row offsets.
+    struct BadFile
+    {
+        const char *name;
+        const char *contents;
+        const char *reason;
+    };
+    const BadFile files[] = {
+        {"truncated",
+         "%%MatrixMarket matrix coordinate real general\n"
+         "4 4 2\n"
+         "1 1 1.0\n",
+         "truncated at entry 1"},
+        {"oversized",
+         "%%MatrixMarket matrix coordinate real general\n"
+         "4294967295 4294967295 0\n",
+         "the bound is 2^24 rows and columns"},
+    };
+
+    DaemonOptions options;
+    options.socketPath = socketPath("bad_mtx");
+    Daemon daemon(options);
+    std::string error;
+    ASSERT_TRUE(daemon.start(&error)) << error;
+    const int fd = connectUnixSocket(options.socketPath, &error);
+    ASSERT_GE(fd, 0) << error;
+    LineReader reader(fd);
+
+    std::uint64_t id = 0;
+    for (const BadFile &file : files) {
+        SCOPED_TRACE(file.name);
+        const std::string mtx = ::testing::TempDir() + "chason_" +
+            file.name + ".mtx";
+        std::FILE *f = std::fopen(mtx.c_str(), "w");
+        ASSERT_NE(f, nullptr);
+        std::fputs(file.contents, f);
+        std::fclose(f);
+
+        ASSERT_TRUE(sendAll(fd, "{\"id\":" + std::to_string(++id) +
+                                    ",\"path\":\"" + mtx + "\"}\n"));
+        const JsonValue v = readResponse(reader);
+        std::uint64_t got = 0;
+        EXPECT_TRUE(v.getUint("id", got));
+        EXPECT_EQ(got, id);
+        std::string type;
+        EXPECT_TRUE(v.getString("error", type));
+        EXPECT_EQ(type, kErrBadRequest);
+        std::string detail;
+        EXPECT_TRUE(v.getString("detail", detail));
+        EXPECT_NE(detail.find(file.reason), std::string::npos) << detail;
+        std::remove(mtx.c_str());
+    }
+
+    ASSERT_TRUE(sendAll(fd, rmatRequest(++id, "t", 7, 1500, 11, 101)));
+    const JsonValue v = readResponse(reader);
+    std::uint64_t got = 0;
+    EXPECT_TRUE(v.getUint("id", got));
+    EXPECT_EQ(got, id);
+    ASSERT_NE(v.find("ok"), nullptr);
+    EXPECT_TRUE(v.find("ok")->boolean);
+    std::string digest;
+    EXPECT_TRUE(v.getString("ydigest", digest));
+    EXPECT_EQ(digest, referenceDigest(7, 1500, 11, 101));
+
+    ::close(fd);
+    daemon.shutdown();
+}
+
 TEST(ServeDaemon, QosThrottlesOneTenantWithoutTouchingAnother)
 {
     DaemonOptions options;

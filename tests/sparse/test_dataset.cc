@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <set>
 
 namespace chason {
@@ -82,8 +84,29 @@ TEST(Table2, GenerationIsDeterministic)
 TEST(LoadOrGenerate, FallsBackToSynthesis)
 {
     const DatasetEntry &e = table2ByTag("CM");
-    const CsrMatrix a = loadOrGenerate(e, "/nonexistent-dir");
-    EXPECT_GT(a.nnz(), 0u);
+    std::string error;
+    const std::optional<CsrMatrix> a =
+        loadOrGenerate(e, "/nonexistent-dir", error);
+    ASSERT_TRUE(a) << error;
+    EXPECT_GT(a->nnz(), 0u);
+}
+
+TEST(LoadOrGenerate, MalformedFileReturnsItsParseError)
+{
+    const DatasetEntry &e = table2ByTag("CM");
+    const std::string dir = ::testing::TempDir() + "chason_dataset_mtx";
+    std::filesystem::create_directories(dir);
+    {
+        std::ofstream out(dir + "/" + e.name + ".mtx");
+        out << "%%MatrixMarket matrix coordinate real general\n"
+               "4 4 2\n"
+               "1 1 1.0\n";
+    }
+    std::string error;
+    EXPECT_FALSE(loadOrGenerate(e, dir, error));
+    EXPECT_NE(error.find("truncated at entry 1"), std::string::npos)
+        << error;
+    std::filesystem::remove_all(dir);
 }
 
 

@@ -8,11 +8,32 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <string>
 
 namespace chason {
 namespace sparse {
 namespace {
+
+/** Parse @p in, failing the test (and returning empty) on an error. */
+CooMatrix
+parse(std::istream &in)
+{
+    std::string error;
+    std::optional<CooMatrix> coo = readMatrixMarket(in, error);
+    EXPECT_TRUE(coo) << error;
+    return coo ? std::move(*coo) : CooMatrix();
+}
+
+/** @p in must be rejected with an error containing @p message. */
+void
+expectRejected(std::istream &in, const std::string &message)
+{
+    std::string error;
+    EXPECT_FALSE(readMatrixMarket(in, error));
+    EXPECT_NE(error.find(message), std::string::npos) << error;
+}
 
 TEST(MatrixMarket, ReadGeneralReal)
 {
@@ -22,7 +43,7 @@ TEST(MatrixMarket, ReadGeneralReal)
         "3 4 2\n"
         "1 2 2.5\n"
         "3 4 -1\n");
-    const CooMatrix coo = readMatrixMarket(in);
+    const CooMatrix coo = parse(in);
     EXPECT_EQ(coo.rows(), 3u);
     EXPECT_EQ(coo.cols(), 4u);
     ASSERT_EQ(coo.nnz(), 2u);
@@ -37,7 +58,7 @@ TEST(MatrixMarket, ReadSymmetricMirrors)
         "3 3 2\n"
         "2 1 7\n"
         "3 3 1\n");
-    const CooMatrix coo = readMatrixMarket(in);
+    const CooMatrix coo = parse(in);
     EXPECT_EQ(coo.nnz(), 3u); // (1,0), (0,1) and the diagonal
 }
 
@@ -47,7 +68,7 @@ TEST(MatrixMarket, ReadSkewSymmetricNegates)
         "%%MatrixMarket matrix coordinate real skew-symmetric\n"
         "2 2 1\n"
         "2 1 3\n");
-    const CsrMatrix a = readMatrixMarket(in).toCsr();
+    const CsrMatrix a = parse(in).toCsr();
     const std::vector<float> x = {1.0f, 0.0f};
     const std::vector<double> y = spmvReference(a, x);
     EXPECT_DOUBLE_EQ(y[0], 0.0);
@@ -63,7 +84,7 @@ TEST(MatrixMarket, ReadPatternUsesOnes)
         "2 2 2\n"
         "1 1\n"
         "2 2\n");
-    const CooMatrix coo = readMatrixMarket(in);
+    const CooMatrix coo = parse(in);
     ASSERT_EQ(coo.nnz(), 2u);
     EXPECT_EQ(coo.entries()[0].value, 1.0f);
 }
@@ -79,7 +100,7 @@ TEST(MatrixMarket, AcceptsCrlfLineEndings)
         "3 4 2\r\n"
         "1 2 2.5\r\n"
         "3 4 -1\r\n");
-    const CooMatrix coo = readMatrixMarket(in);
+    const CooMatrix coo = parse(in);
     EXPECT_EQ(coo.rows(), 3u);
     EXPECT_EQ(coo.cols(), 4u);
     ASSERT_EQ(coo.nnz(), 2u);
@@ -98,7 +119,7 @@ TEST(MatrixMarket, AcceptsBannerAndCommentWhitespaceVariants)
         "  \n"
         "2 2 1\n"
         "2 1 4.0\n");
-    const CooMatrix coo = readMatrixMarket(in);
+    const CooMatrix coo = parse(in);
     ASSERT_EQ(coo.nnz(), 1u);
     EXPECT_EQ(coo.entries()[0], (Triplet{1, 0, 4.0f}));
 }
@@ -117,31 +138,31 @@ TEST(MatrixMarket, CrlfFileFixtureRoundTrip)
                "2 1 7\r\n"
                "3 3 1\r\n";
     }
-    const CooMatrix coo = readMatrixMarketFile(path);
-    EXPECT_EQ(coo.nnz(), 3u); // mirrored off-diagonal + diagonal
+    std::string error;
+    const std::optional<CooMatrix> coo = readMatrixMarketFile(path, error);
+    ASSERT_TRUE(coo) << error;
+    EXPECT_EQ(coo->nnz(), 3u); // mirrored off-diagonal + diagonal
 }
 
-TEST(MatrixMarketDeath, CrlfDoesNotWeakenNanRejection)
+TEST(MatrixMarketError, CrlfDoesNotWeakenNanRejection)
 {
     std::istringstream in(
         "%%MatrixMarket matrix coordinate real general\r\n"
         "2 2 1\r\n"
         "1 1 nan\r\n");
-    EXPECT_EXIT(readMatrixMarket(in), ::testing::ExitedWithCode(1),
-                "non-finite");
+    expectRejected(in, "non-finite");
 }
 
-TEST(MatrixMarketDeath, CrlfDoesNotWeakenOverflowRejection)
+TEST(MatrixMarketError, CrlfDoesNotWeakenOverflowRejection)
 {
     std::istringstream in(
         "%%MatrixMarket matrix coordinate real general\r\n"
         "4294967296 2 1\r\n"
         "1 1 1.0\r\n");
-    EXPECT_EXIT(readMatrixMarket(in), ::testing::ExitedWithCode(1),
-                "overflow");
+    expectRejected(in, "overflow");
 }
 
-TEST(MatrixMarketDeath, BlankLinesOnlyStillTruncated)
+TEST(MatrixMarketError, BlankLinesOnlyStillTruncated)
 {
     // Tolerating blank lines must not mask a genuinely missing size
     // line.
@@ -149,65 +170,58 @@ TEST(MatrixMarketDeath, BlankLinesOnlyStillTruncated)
         "%%MatrixMarket matrix coordinate real general\r\n"
         "\r\n"
         "   \r\n");
-    EXPECT_EXIT(readMatrixMarket(in), ::testing::ExitedWithCode(1),
-                "truncated before size line");
+    expectRejected(in, "truncated before size line");
 }
 
-TEST(MatrixMarketDeath, RejectsBadBanner)
+TEST(MatrixMarketError, RejectsBadBanner)
 {
     std::istringstream in("%%NotMatrixMarket x y z w\n1 1 0\n");
-    EXPECT_EXIT(readMatrixMarket(in), ::testing::ExitedWithCode(1),
-                "banner");
+    expectRejected(in, "banner");
 }
 
-TEST(MatrixMarketDeath, RejectsArrayFormat)
+TEST(MatrixMarketError, RejectsArrayFormat)
 {
     std::istringstream in(
         "%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n4\n");
-    EXPECT_EXIT(readMatrixMarket(in), ::testing::ExitedWithCode(1),
-                "coordinate");
+    expectRejected(in, "coordinate");
 }
 
-TEST(MatrixMarketDeath, RejectsOutOfBoundsEntry)
+TEST(MatrixMarketError, RejectsOutOfBoundsEntry)
 {
     std::istringstream in(
         "%%MatrixMarket matrix coordinate real general\n"
         "2 2 1\n"
         "3 1 1.0\n");
-    EXPECT_EXIT(readMatrixMarket(in), ::testing::ExitedWithCode(1),
-                "out of bounds");
+    expectRejected(in, "out of bounds");
 }
 
-TEST(MatrixMarketDeath, RejectsTruncatedStream)
+TEST(MatrixMarketError, RejectsTruncatedStream)
 {
     std::istringstream in(
         "%%MatrixMarket matrix coordinate real general\n"
         "2 2 2\n"
         "1 1 1.0\n");
-    EXPECT_EXIT(readMatrixMarket(in), ::testing::ExitedWithCode(1),
-                "truncated");
+    expectRejected(in, "truncated");
 }
 
-TEST(MatrixMarketDeath, RejectsStreamEndingBeforeSizeLine)
+TEST(MatrixMarketError, RejectsStreamEndingBeforeSizeLine)
 {
     std::istringstream in(
         "%%MatrixMarket matrix coordinate real general\n"
         "% only comments follow the banner\n");
-    EXPECT_EXIT(readMatrixMarket(in), ::testing::ExitedWithCode(1),
-                "truncated before size line");
+    expectRejected(in, "truncated before size line");
 }
 
-TEST(MatrixMarketDeath, RejectsIncompleteSizeLine)
+TEST(MatrixMarketError, RejectsIncompleteSizeLine)
 {
     std::istringstream in(
         "%%MatrixMarket matrix coordinate real general\n"
         "4 4\n"
         "1 1 1.0\n");
-    EXPECT_EXIT(readMatrixMarket(in), ::testing::ExitedWithCode(1),
-                "bad size line");
+    expectRejected(in, "bad size line");
 }
 
-TEST(MatrixMarketDeath, RejectsOverflowingDimensions)
+TEST(MatrixMarketError, RejectsOverflowingDimensions)
 {
     // 2^32 rows cannot be indexed by uint32_t; the old cast silently
     // truncated to 0.
@@ -215,28 +229,25 @@ TEST(MatrixMarketDeath, RejectsOverflowingDimensions)
         "%%MatrixMarket matrix coordinate real general\n"
         "4294967296 2 1\n"
         "1 1 1.0\n");
-    EXPECT_EXIT(readMatrixMarket(in), ::testing::ExitedWithCode(1),
-                "overflow");
+    expectRejected(in, "overflow");
 }
 
-TEST(MatrixMarketDeath, RejectsNanValue)
+TEST(MatrixMarketError, RejectsNanValue)
 {
     std::istringstream in(
         "%%MatrixMarket matrix coordinate real general\n"
         "2 2 1\n"
         "1 1 nan\n");
-    EXPECT_EXIT(readMatrixMarket(in), ::testing::ExitedWithCode(1),
-                "non-finite");
+    expectRejected(in, "non-finite");
 }
 
-TEST(MatrixMarketDeath, RejectsInfValue)
+TEST(MatrixMarketError, RejectsInfValue)
 {
     std::istringstream in(
         "%%MatrixMarket matrix coordinate real general\n"
         "2 2 1\n"
         "1 1 -inf\n");
-    EXPECT_EXIT(readMatrixMarket(in), ::testing::ExitedWithCode(1),
-                "non-finite");
+    expectRejected(in, "non-finite");
 }
 
 TEST(MatrixMarket, WriteReadRoundTrip)
@@ -249,7 +260,7 @@ TEST(MatrixMarket, WriteReadRoundTrip)
 
     std::stringstream buffer;
     writeMatrixMarket(coo, buffer);
-    const CooMatrix back = readMatrixMarket(buffer);
+    const CooMatrix back = parse(buffer);
     EXPECT_EQ(back.rows(), coo.rows());
     EXPECT_EQ(back.cols(), coo.cols());
     EXPECT_EQ(back.entries(), coo.entries());
@@ -261,14 +272,17 @@ TEST(MatrixMarket, FileRoundTrip)
     coo.add(1, 1, 9.0f);
     const std::string path = ::testing::TempDir() + "/chason_mm_test.mtx";
     writeMatrixMarketFile(coo, path);
-    const CooMatrix back = readMatrixMarketFile(path);
-    EXPECT_EQ(back.entries(), coo.entries());
+    std::string error;
+    const std::optional<CooMatrix> back = readMatrixMarketFile(path, error);
+    ASSERT_TRUE(back) << error;
+    EXPECT_EQ(back->entries(), coo.entries());
 }
 
-TEST(MatrixMarketDeath, MissingFileFatal)
+TEST(MatrixMarketError, MissingFileIsAnError)
 {
-    EXPECT_EXIT(readMatrixMarketFile("/nonexistent/nope.mtx"),
-                ::testing::ExitedWithCode(1), "cannot open");
+    std::string error;
+    EXPECT_FALSE(readMatrixMarketFile("/nonexistent/nope.mtx", error));
+    EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
 }
 
 } // namespace

@@ -100,16 +100,6 @@ TEST(Sarif, AggregatesSeveralArtifactsIntoOneRun)
     EXPECT_EQ(json.find("\"runs\""), json.rfind("\"runs\""));
 }
 
-TEST(Sarif, JsonEscapingHandlesControlAndQuoteCharacters)
-{
-    EXPECT_EQ(jsonEscape("plain"), "plain");
-    EXPECT_EQ(jsonEscape("a\"b"), "a\\\"b");
-    EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
-    EXPECT_EQ(jsonEscape("a\nb"), "a\\nb");
-    EXPECT_EQ(jsonEscape("a\tb"), "a\\tb");
-    EXPECT_EQ(jsonEscape(std::string(1, '\x01')), "\\u0001");
-}
-
 TEST(Sarif, ArtifactUriSpacesAreEscaped)
 {
     Rng rng(13);

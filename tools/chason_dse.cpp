@@ -122,9 +122,16 @@ main(int argc, char **argv)
         }
     }
 
-    const sparse::CsrMatrix a = mtx.empty()
-        ? sparse::table2ByTag(dataset).generate()
-        : sparse::readMatrixMarketFile(mtx).toCsr();
+    sparse::CsrMatrix a;
+    if (!mtx.empty()) {
+        std::string error;
+        const auto coo = sparse::readMatrixMarketFile(mtx, error);
+        if (!coo)
+            chason_fatal("%s", error.c_str());
+        a = coo->toCsr();
+    } else {
+        a = sparse::table2ByTag(dataset).generate();
+    }
     std::printf("design-space exploration for %s (raw distance %u)\n\n",
                 a.describe().c_str(), raw);
 

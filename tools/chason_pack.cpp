@@ -44,7 +44,7 @@ usage()
         "                        [--raw D] [--depth D]\n"
         "                        (--out FILE | --dir DIR)\n"
         "       chason_pack inspect FILE\n"
-        "       chason_pack verify FILE [--jobs N]\n"
+        "       chason_pack verify FILE\n"
         "       chason_pack flip --at OFFSET FILE [--xor BYTE]\n");
     return 2;
 }
@@ -109,16 +109,22 @@ runPack(int argc, char **argv)
     if (scheduler == nullptr)
         return usage();
 
-    const sparse::CsrMatrix a = !mtx.empty()
-        ? sparse::readMatrixMarketFile(mtx).toCsr()
-        : sparse::table2ByTag(dataset).generate();
+    sparse::CsrMatrix a;
+    if (!mtx.empty()) {
+        std::string error;
+        const auto coo = sparse::readMatrixMarketFile(mtx, error);
+        if (!coo)
+            chason_fatal("%s", error.c_str());
+        a = coo->toCsr();
+    } else {
+        a = sparse::table2ByTag(dataset).generate();
+    }
     const sched::Schedule schedule = scheduler->schedule(a);
 
     // The same identity the cache files artifacts under, so a packed
     // file is immediately servable from --artifact-dir.
-    const core::ScheduleKey key = core::scheduleKey(*scheduler, a);
-    const sched::ArtifactKey akey{key.matrix.lo, key.matrix.hi,
-                                  key.scheduler};
+    const sched::ArtifactKey akey =
+        core::artifactKey(core::scheduleKey(*scheduler, a));
     const std::string path =
         !out.empty() ? out : dir + "/" + sched::artifactFileName(akey);
 
@@ -183,12 +189,12 @@ runInspect(const std::string &path)
 }
 
 int
-runVerify(const std::string &path, unsigned jobs)
+runVerify(const std::string &path)
 {
     sched::ArtifactError error;
     const sched::ArtifactReader reader =
         sched::ArtifactReader::open(path, &error);
-    if (!reader.ok() || !reader.payloadIntact(&error, jobs)) {
+    if (!reader.ok() || !reader.payloadIntact(&error)) {
         std::fprintf(stderr, "%s: %s (%s)\n", path.c_str(),
                      sched::artifactStatusName(error.status),
                      error.detail.c_str());
@@ -246,14 +252,11 @@ main(int argc, char **argv)
     // The remaining subcommands take one FILE plus options.
     std::string path;
     long long at = -1;
-    unsigned jobs = 0;
     unsigned mask = 0xff;
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--at" && i + 1 < argc)
             at = std::atoll(argv[++i]);
-        else if (arg == "--jobs" && i + 1 < argc)
-            jobs = static_cast<unsigned>(std::atoi(argv[++i]));
         else if (arg == "--xor" && i + 1 < argc)
             mask = static_cast<unsigned>(
                 std::strtoul(argv[++i], nullptr, 0));
@@ -267,7 +270,7 @@ main(int argc, char **argv)
     if (cmd == "inspect")
         return runInspect(path);
     if (cmd == "verify")
-        return runVerify(path, jobs);
+        return runVerify(path);
     if (cmd == "flip")
         return at >= 0 ? runFlip(path, at, mask & 0xff) : usage();
     return usage();

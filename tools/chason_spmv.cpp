@@ -5,13 +5,17 @@
  * Runs SpMV on the Chasoň and/or Serpens simulators for a matrix from a
  * Matrix Market file, the Table 2 registry, or a synthetic family, and
  * prints the full report. Can also persist and reuse the offline
- * scheduling artifact (the streams the host would DMA to HBM).
+ * schedule as a CHSA artifact (sched/artifact.h), keyed like the
+ * schedule cache's disk tier, so a saved file also serves from a
+ * chason_serve --artifact-dir. A file that fails admission (corrupt,
+ * not CHSA, or scheduled for another matrix) is reported and the tool
+ * exits 1.
  *
  * Examples:
  *   chason_spmv --dataset MY
  *   chason_spmv --mtx my_matrix.mtx --engine both --cpu
- *   chason_spmv --family zipf --rows 4096 --deg 12 --save-schedule s.bin
- *   chason_spmv --load-schedule s.bin --mtx my_matrix.mtx
+ *   chason_spmv --family zipf --rows 4096 --deg 12 --save-schedule s.chsa
+ *   chason_spmv --load-schedule s.chsa --family zipf --rows 4096 --deg 12
  */
 
 #include <algorithm>
@@ -103,8 +107,13 @@ parse(int argc, char **argv)
 sparse::CsrMatrix
 loadMatrix(const Options &opt)
 {
-    if (!opt.mtx.empty())
-        return sparse::readMatrixMarketFile(opt.mtx).toCsr();
+    if (!opt.mtx.empty()) {
+        std::string error;
+        const auto coo = sparse::readMatrixMarketFile(opt.mtx, error);
+        if (!coo)
+            chason_fatal("%s", error.c_str());
+        return coo->toCsr();
+    }
     if (!opt.dataset.empty())
         return sparse::table2ByTag(opt.dataset).generate();
     if (!opt.family.empty()) {
@@ -164,19 +173,40 @@ main(int argc, char **argv)
     std::optional<core::SpmvReport> chason_report, serpens_report;
     if (run_chason) {
         core::Engine engine(core::Engine::Kind::Chason);
-        sched::Schedule sch = opt.load_schedule.empty()
-            ? engine.schedule(a)
-            : sched::readScheduleFile(opt.load_schedule);
+        const core::ScheduleKey key =
+            opt.load_schedule.empty() && opt.save_schedule.empty()
+            ? core::ScheduleKey{}
+            : core::scheduleKey(engine.scheduler(), a);
+        std::optional<sched::Schedule> sch;
+        if (opt.load_schedule.empty()) {
+            sch = engine.schedule(a);
+        } else {
+            std::string why;
+            sch = core::loadArtifact(opt.load_schedule, key, why);
+            if (!sch) {
+                std::fprintf(stderr, "%s: %s\n",
+                             opt.load_schedule.c_str(), why.c_str());
+                return 1;
+            }
+        }
         if (!opt.save_schedule.empty()) {
-            sched::writeScheduleFile(sch, opt.save_schedule);
+            sched::ArtifactError error;
+            if (!sched::writeArtifactFile(*sch, core::artifactKey(key),
+                                          opt.save_schedule, &error)) {
+                std::fprintf(stderr, "%s: %s (%s)\n",
+                             opt.save_schedule.c_str(),
+                             sched::artifactStatusName(error.status),
+                             error.detail.c_str());
+                return 1;
+            }
             std::printf("schedule artifact written to %s (%.2f MB "
                         "HBM-resident)\n",
                         opt.save_schedule.c_str(),
                         static_cast<double>(
-                            sched::scheduleArtifactBytes(sch)) /
+                            sched::scheduleArtifactBytes(*sch)) /
                             1e6);
         }
-        chason_report = engine.runScheduled(sch, a, x, "cli");
+        chason_report = engine.runScheduled(*sch, a, x, "cli");
         report(*chason_report);
     }
     if (run_serpens) {

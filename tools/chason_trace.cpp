@@ -15,13 +15,19 @@
  *   chason_trace --dataset MY --out trace.json
  *   chason_trace --dataset mycielskian12 --out trace.json \
  *                --counters counters.json
- *   chason_trace --mtx m.mtx --engine serpens --sched artifact.bin
+ *   chason_trace --mtx m.mtx --engine serpens --sched schedule.chsa
+ *
+ * --sched reads a CHSA schedule file (chason_spmv --save-schedule,
+ * chason_pack pack) through the schedule cache's admission checks; a
+ * file that is corrupt, not CHSA, or keyed for another matrix or
+ * scheduler is reported and the tool exits 1.
  */
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "core/chason.h"
@@ -123,7 +129,11 @@ loadMatrix(const Options &opt, std::string &label)
 {
     if (!opt.mtx.empty()) {
         label = opt.mtx;
-        return sparse::readMatrixMarketFile(opt.mtx).toCsr();
+        std::string error;
+        const auto coo = sparse::readMatrixMarketFile(opt.mtx, error);
+        if (!coo)
+            chason_fatal("%s", error.c_str());
+        return coo->toCsr();
     }
     if (!opt.dataset.empty()) {
         const sparse::DatasetEntry &entry = findDataset(opt.dataset);
@@ -201,10 +211,20 @@ main(int argc, char **argv)
     core::SpmvReport report;
     {
         trace::ScopedSink scope(sink);
-        const sched::Schedule sch = opt.sched.empty()
-            ? engine.schedule(a)
-            : sched::readScheduleFile(opt.sched);
-        report = engine.runScheduled(sch, a, x, label);
+        std::optional<sched::Schedule> sch;
+        if (opt.sched.empty()) {
+            sch = engine.schedule(a);
+        } else {
+            std::string why;
+            sch = core::loadArtifact(
+                opt.sched, core::scheduleKey(engine.scheduler(), a), why);
+            if (!sch) {
+                std::fprintf(stderr, "%s: %s\n", opt.sched.c_str(),
+                             why.c_str());
+                return 1;
+            }
+        }
+        report = engine.runScheduled(*sch, a, x, label);
     }
 
     std::printf("%s on %s: %llu cycles, %.4f ms, %.3f GFLOPS\n",

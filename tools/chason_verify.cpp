@@ -4,26 +4,32 @@
  *
  * Verifies a Schedule against the architectural invariants (rule
  * catalog in verify/rules.h) without running the cycle simulator, and
- * renders findings as text and/or SARIF 2.1.0 for CI. Three input
+ * renders findings as text and/or SARIF 2.1.0 for CI. Four input
  * modes:
  *
  *  - generate: schedule a dataset/.mtx matrix with a chosen scheduler
  *    and verify the result (the scheduler-qualification mode);
- *  - artifact: load a serialized schedule (--sched FILE), optionally
- *    cross-checking completeness against the originating matrix;
+ *  - stored schedule (--artifact FILE with --mtx/--dataset): load a
+ *    CHSA schedule file through the schedule cache's admission checks,
+ *    keyed by the matrix and the --scheduler/--raw/--depth scheduler,
+ *    and verify it, completeness against the matrix included. A file
+ *    that fails admission is reported and the tool exits 1;
  *  - examples: all three schedulers over a bundle of example matrices
  *    (the run_all.sh CI gate);
- *  - CHSA admission (--artifact FILE...): run the on-disk
- *    schedule-artifact admission checks (CHV015-018: magic, version,
- *    structure, checksums) on store files, the same gate the two-tier
- *    ScheduleCache applies before serving; --deep additionally loads a
- *    passing artifact and verifies the schedule itself.
+ *  - CHSA admission (--artifact FILE... without a matrix): run the
+ *    on-disk schedule-artifact admission checks (CHV015-018: magic,
+ *    version, structure, checksums) on store files, the same gate the
+ *    two-tier ScheduleCache applies before serving; --deep
+ *    additionally loads a passing artifact and verifies the schedule
+ *    itself.
  *
  * --corrupt injects a chosen defect class before verification, to
  * prove the gate actually fires; --differential additionally runs the
  * cycle simulator and cross-checks its functional result against the
  * double-precision reference, demonstrating that verifier-clean
- * schedules compute correct SpMV results.
+ * schedules compute correct SpMV results. --save writes the (possibly
+ * corrupted) schedule of a generate or stored-schedule run as a CHSA
+ * file under the same key.
  *
  * Exit status: 0 clean, 1 error-severity findings (or a differential
  * disagreement), 2 usage error.
@@ -34,6 +40,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,14 +55,13 @@ using namespace chason;
 
 struct Options
 {
-    std::string schedPath;  ///< load a serialized artifact
     std::string mtxPath;    ///< matrix from a .mtx file
     std::string dataset;    ///< matrix from the Table 2 bundle
     std::string scheduler = "crhcs";
     std::string sarifPath;  ///< write SARIF here ("" = none)
-    std::string savePath;   ///< serialize the (possibly corrupted) schedule
+    std::string savePath;   ///< store the (possibly corrupted) schedule
     std::string corrupt;    ///< defect class to inject ("" = none)
-    std::vector<std::string> artifactPaths; ///< CHSA admission mode
+    std::vector<std::string> artifactPaths; ///< CHSA files to check
     bool deep = false;      ///< also verify the schedule a CHSA carries
     bool examples = false;  ///< verify the bundled example schedules
     bool differential = false;
@@ -71,7 +77,6 @@ struct VerifyJob
     std::string name; ///< artifact URI for reports
     sparse::CsrMatrix matrix;
     sched::Schedule schedule;
-    bool haveMatrix = true;
 };
 
 int
@@ -79,7 +84,7 @@ usage()
 {
     std::fprintf(
         stderr,
-        "usage: chason_verify [--sched FILE] [--mtx FILE | --dataset TAG]\n"
+        "usage: chason_verify [--mtx FILE | --dataset TAG]\n"
         "                     [--scheduler crhcs|pe-aware|row-based]\n"
         "                     [--artifact FILE]... [--deep]\n"
         "                     [--examples] [--differential]\n"
@@ -160,9 +165,7 @@ main(int argc, char **argv)
     Options opt;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--sched" && i + 1 < argc) {
-            opt.schedPath = argv[++i];
-        } else if (arg == "--mtx" && i + 1 < argc) {
+        if (arg == "--mtx" && i + 1 < argc) {
             opt.mtxPath = argv[++i];
         } else if (arg == "--dataset" && i + 1 < argc) {
             opt.dataset = argv[++i];
@@ -198,16 +201,15 @@ main(int argc, char **argv)
         }
     }
     if (opt.examples &&
-        (!opt.schedPath.empty() || !opt.mtxPath.empty())) {
+        (!opt.artifactPaths.empty() || !opt.mtxPath.empty())) {
         return usage();
     }
 
     // CHSA admission mode: self-contained, no matrix or scheduler.
-    if (!opt.artifactPaths.empty()) {
-        if (opt.examples || !opt.schedPath.empty() ||
-            !opt.mtxPath.empty() || !opt.corrupt.empty()) {
+    if (!opt.artifactPaths.empty() && opt.mtxPath.empty() &&
+        opt.dataset.empty()) {
+        if (!opt.corrupt.empty())
             return usage();
-        }
         verify::SarifLog sarif;
         std::size_t total_errors = 0;
         std::size_t total_warnings = 0;
@@ -237,6 +239,8 @@ main(int argc, char **argv)
                     total_warnings);
         return total_errors > 0 ? 1 : 0;
     }
+    if (opt.artifactPaths.size() > 1)
+        return usage(); // a stored schedule is verified one at a time
 
     sched::SchedConfig base;
     if (opt.rawDistance != 0)
@@ -245,6 +249,7 @@ main(int argc, char **argv)
 
     // Assemble the verification jobs.
     std::vector<VerifyJob> jobs;
+    std::unique_ptr<sched::Scheduler> scheduler;
     if (opt.examples) {
         for (const std::string &tag : exampleTags()) {
             const sparse::CsrMatrix a =
@@ -258,33 +263,40 @@ main(int argc, char **argv)
                 jobs.push_back(std::move(job));
             }
         }
-    } else if (!opt.schedPath.empty()) {
-        VerifyJob job;
-        job.name = opt.schedPath;
-        job.schedule = sched::readScheduleFile(opt.schedPath);
-        if (!opt.mtxPath.empty()) {
-            job.matrix =
-                sparse::readMatrixMarketFile(opt.mtxPath).toCsr();
-        } else if (!opt.dataset.empty()) {
-            job.matrix = sparse::table2ByTag(opt.dataset).generate();
-        } else {
-            job.haveMatrix = false;
-        }
-        jobs.push_back(std::move(job));
     } else {
+        scheduler = makeScheduler(opt.scheduler, base);
+        if (scheduler == nullptr)
+            return usage();
         const std::string tag =
             opt.dataset.empty() ? "CM" : opt.dataset;
         VerifyJob job;
-        job.matrix = !opt.mtxPath.empty()
-            ? sparse::readMatrixMarketFile(opt.mtxPath).toCsr()
-            : sparse::table2ByTag(tag).generate();
-        const auto scheduler = makeScheduler(opt.scheduler, base);
-        if (scheduler == nullptr)
-            return usage();
-        job.name = "schedules/" +
-            (!opt.mtxPath.empty() ? opt.mtxPath : tag) + "." +
-            opt.scheduler + ".sched";
-        job.schedule = scheduler->schedule(job.matrix);
+        if (!opt.mtxPath.empty()) {
+            std::string error;
+            std::optional<sparse::CooMatrix> coo =
+                sparse::readMatrixMarketFile(opt.mtxPath, error);
+            if (!coo)
+                chason_fatal("%s", error.c_str());
+            job.matrix = coo->toCsr();
+        } else {
+            job.matrix = sparse::table2ByTag(tag).generate();
+        }
+        if (opt.artifactPaths.empty()) {
+            job.name = "schedules/" +
+                (!opt.mtxPath.empty() ? opt.mtxPath : tag) + "." +
+                opt.scheduler + ".sched";
+            job.schedule = scheduler->schedule(job.matrix);
+        } else {
+            job.name = opt.artifactPaths.front();
+            std::string why;
+            std::optional<sched::Schedule> loaded = core::loadArtifact(
+                job.name, core::scheduleKey(*scheduler, job.matrix), why);
+            if (!loaded) {
+                std::fprintf(stderr, "%s: %s\n", job.name.c_str(),
+                             why.c_str());
+                return 1;
+            }
+            job.schedule = std::move(*loaded);
+        }
         jobs.push_back(std::move(job));
     }
 
@@ -303,9 +315,20 @@ main(int argc, char **argv)
     }
 
     if (!opt.savePath.empty()) {
-        if (jobs.size() != 1)
-            return usage(); // saving needs exactly one artifact
-        sched::writeScheduleFile(jobs.front().schedule, opt.savePath);
+        if (scheduler == nullptr)
+            return usage(); // saving needs exactly one schedule
+        const VerifyJob &job = jobs.front();
+        sched::ArtifactError error;
+        if (!sched::writeArtifactFile(
+                job.schedule,
+                core::artifactKey(
+                    core::scheduleKey(*scheduler, job.matrix)),
+                opt.savePath, &error)) {
+            std::fprintf(stderr, "%s: %s (%s)\n", opt.savePath.c_str(),
+                         sched::artifactStatusName(error.status),
+                         error.detail.c_str());
+            return 1;
+        }
     }
 
     const arch::ArchConfig archDefaults;
@@ -316,8 +339,7 @@ main(int argc, char **argv)
 
     for (const VerifyJob &job : jobs) {
         verify::VerifyOptions vopt;
-        if (job.haveMatrix)
-            vopt.matrix = &job.matrix;
+        vopt.matrix = &job.matrix;
         vopt.maxDiagnosticsPerRule = opt.maxDiags;
         vopt.capacityRowsPerLane = [&] {
             arch::ArchConfig c = archDefaults;
@@ -339,7 +361,7 @@ main(int argc, char **argv)
         std::printf("%s: %s\n", job.name.c_str(),
                     result.summary().c_str());
 
-        if (opt.differential && job.haveMatrix) {
+        if (opt.differential) {
             const bool agrees = simulationAgrees(job);
             const bool verdictMatch = agrees == result.clean();
             std::printf("%s: differential: verifier=%s simulator=%s "
