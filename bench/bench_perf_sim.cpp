@@ -3,12 +3,12 @@
  * Perf trajectory, simulation leg: streaming-simulation throughput over
  * the R-MAT ladder, emitted as BENCH_sim.json.
  *
- * Measures ChasonAccelerator::runPlanned — the StreamPlan fast path an
- * offline schedule amortizes over many SpMV invocations — in simulated
- * cycles per wall second. Before timing, each tier once asserts that
- * the planned run is bit-identical (y and every cycle counter) to the
- * plain run(), so the reported speed provably changes no simulated
- * result. The checksum is the double sum of y.
+ * Times Accelerator::runPlanned, the replay of a StreamPlan that an
+ * offline schedule amortizes over many SpMV invocations, in simulated
+ * cycles per wall second. run() walks the beat lists instead; before
+ * timing, each tier once asserts that the replay is bit-identical to
+ * that walk (y and every cycle counter), so the reported speed changes
+ * no simulated result. The checksum is the double sum of y.
  *
  * Knobs: CHASON_PERF_TIERS picks tiers, --out changes the report path.
  */
@@ -40,8 +40,6 @@ main(int argc, char **argv)
 
     bench::printHeader("Perf trajectory: streaming simulation throughput",
                        "docs/PERFORMANCE.md (BENCH_sim.json)");
-    std::printf("SoA gather path: %s\n",
-                arch::streamSoaUsesAvx2() ? "AVX2" : "scalar");
 
     arch::ArchConfig ac;
     const arch::ChasonAccelerator accel(ac);
@@ -57,12 +55,20 @@ main(int argc, char **argv)
         const sched::Schedule schedule = scheduler.schedule(a);
         const arch::StreamPlan plan(schedule, accel.migrationDepth());
 
-        // Identity gate: the fast path must not change one bit of the
+        // Identity gate: the replay must not change one bit of the
         // simulated outcome before its speed is worth reporting.
         const arch::RunResult ref = accel.run(schedule, x);
         const arch::RunResult planned = accel.runPlanned(schedule, plan, x);
+        const arch::CycleBreakdown &rc = ref.cycles;
+        const arch::CycleBreakdown &pc = planned.cycles;
         chason_assert(ref.y == planned.y &&
-                          ref.cycles.total() == planned.cycles.total(),
+                          rc.matrixStream == pc.matrixStream &&
+                          rc.xLoad == pc.xLoad &&
+                          rc.pipelineFill == pc.pipelineFill &&
+                          rc.reduction == pc.reduction &&
+                          rc.writeback == pc.writeback &&
+                          rc.instStream == pc.instStream &&
+                          rc.launch == pc.launch,
                       "planned run diverged from run() on tier %s",
                       tier.name);
 

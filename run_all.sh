@@ -23,14 +23,16 @@ ctest --test-dir build-tsan \
 # Memory-safety leg: the parsing/verification surface again under
 # ASan+UBSan (artifact readers, verifier, mutation injector, SARIF,
 # and the serving protocol's JSON/request parsers — hostile-input
-# territory).
+# territory), plus the simulator's streaming walk and plan replay,
+# which index bank tables by slot tags and the x window by slot
+# columns.
 cmake -B build-asan -G Ninja -DCHASON_ASAN=ON
 cmake --build build-asan --target \
     test_matrix_market test_schedule test_schedule_io test_artifact \
     test_verifier test_sarif test_sarif_merge test_differential \
-    test_serve_protocol
+    test_serve_protocol test_peg test_accelerators test_perf_determinism
 ctest --test-dir build-asan \
-    -R 'test_(matrix_market|schedule(_io)?$|artifact$|verifier|sarif|differential|serve_protocol)' \
+    -R 'test_(matrix_market|schedule(_io)?$|artifact$|verifier|sarif|differential|serve_protocol|peg|accelerators|perf_determinism)' \
     --output-on-failure 2>&1 | tee -a test_output.txt
 
 # Static schedule verification gate: every bundled example schedule must

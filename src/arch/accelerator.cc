@@ -186,11 +186,18 @@ Accelerator::Accelerator(const ArchConfig &config) : config_(config)
 }
 
 RunResult
+Accelerator::runPlanned(const sched::Schedule &schedule,
+                        const StreamPlan &plan, const std::vector<float> &x,
+                        const SpmvParams &params) const
+{
+    return simulateStreaming(schedule, x, params, migrationDepth(), &plan);
+}
+
+RunResult
 Accelerator::simulateStreaming(const sched::Schedule &schedule,
                                const std::vector<float> &x,
                                const SpmvParams &params,
                                unsigned migration_depth,
-                               bool with_reduction,
                                const StreamPlan *plan) const
 {
     chason_assert(plan == nullptr ||
@@ -210,7 +217,7 @@ Accelerator::simulateStreaming(const sched::Schedule &schedule,
                   "x has %zu entries, schedule expects %u", x.size(),
                   schedule.cols);
     // Note: a schedule whose slots migrate farther than the datapath's
-    // shared banks reach is caught inside Pe::process.
+    // shared banks reach is caught by SlotRouter::route.
 
     const sched::LaneMap map(sc);
     const double freq = frequencyMhz();
@@ -233,7 +240,6 @@ Accelerator::simulateStreaming(const sched::Schedule &schedule,
     std::vector<Peg> &pegs = lease.pegs;
 
     XWindowBuffer xbuf;
-    StreamScratch stream_scratch;
     std::int64_t beat_base = 0;
     bool first_phase = true;
 
@@ -313,7 +319,7 @@ Accelerator::simulateStreaming(const sched::Schedule &schedule,
                    trace::kTrackSequencer, sim_now, y_cycles, "pass",
                    pass, "y_beats", y_beats);
         sim_now += y_cycles;
-        if (with_reduction && migration_depth > 0) {
+        if (migration_depth > 0) {
             const std::uint64_t sweep =
                 static_cast<std::uint64_t>(sc.pesPerGroup()) * depth *
                 migration_depth;
@@ -371,22 +377,21 @@ Accelerator::simulateStreaming(const sched::Schedule &schedule,
         sim_now += exposed_x;
 
         // Matrix streaming: all channels in lockstep for alignedBeats.
-        // The SoA path performs the same per-slot multiplies and
-        // checked accumulations as walking Pe::process over the AoS
-        // beat list, in the same per-bank order (see stream_soa.h).
-        // With a StreamPlan the pre-packed lanes are replayed and the
-        // beat-list traversal is skipped entirely.
+        // Without a plan each channel's beat list is walked and routed
+        // slot by slot; with one, the pre-routed lanes are replayed.
+        // Both make the same products and checked accumulations in the
+        // same per-bank order (see stream_soa.h).
+        const SlotRouter router(sc, migration_depth, col_base, win_len);
         // chason-lint: begin-hot (per-channel streaming loop: the
-        // simulator's steady-state replay path must not allocate)
+        // simulator's steady-state path must not allocate)
         for (unsigned ch = 0; ch < sc.channels; ++ch) {
             const sched::ChannelWindowSchedule &cws = phase.channels[ch];
             if (plan) {
                 macPackedChannel(plan->channel(phase_idx, ch), pegs[ch],
-                                 xbuf, beat_base, sc,
-                                 stream_scratch.product);
+                                 xbuf, beat_base, sc);
             } else {
-                streamChannelSoa(cws, pegs[ch], xbuf, beat_base, sc, ch,
-                                 migration_depth, stream_scratch);
+                streamChannel(cws, router, ch, xbuf, beat_base, sc,
+                              pegs[ch]);
             }
             result.traffic.recordBeats(ch, hbm::Direction::Read,
                                        phase.alignedBeats);

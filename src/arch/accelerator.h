@@ -107,6 +107,24 @@ class Accelerator
                           const std::vector<float> &x,
                           const SpmvParams &params = {}) const = 0;
 
+    /**
+     * Shared-bank distances the datapath instantiates per PE (0 = no
+     * ScUG, the Serpens datapath).
+     */
+    virtual unsigned migrationDepth() const = 0;
+
+    /**
+     * Run against a pre-routed StreamPlan (see arch/stream_soa.h).
+     * Bit-identical to run(); replays the plan's lanes instead of
+     * walking the beat lists, which pays off when the same schedule is
+     * simulated repeatedly. The plan must have been built from this
+     * exact schedule with this accelerator's migrationDepth().
+     */
+    RunResult runPlanned(const sched::Schedule &schedule,
+                         const StreamPlan &plan,
+                         const std::vector<float> &x,
+                         const SpmvParams &params = {}) const;
+
     const ArchConfig &config() const { return config_; }
 
   protected:
@@ -119,17 +137,16 @@ class Accelerator
      *
      * @param migration_depth shared banks instantiated per PE; 0 makes
      *        any migrated slot a hard error (the Serpens datapath).
-     * @param with_reduction  account Reduction Unit sweeps per pass.
-     * @param plan            optional pre-packed SoA lanes for this
-     *        exact (schedule, migration_depth) pair — skips the
-     *        beat-list traversal on every run (see arch/stream_soa.h).
-     *        Results are bit-identical with or without a plan.
+     *        Reduction Unit sweeps are accounted when it is nonzero.
+     * @param plan            optional pre-routed lanes for this exact
+     *        (schedule, migration_depth) pair, replayed instead of
+     *        walking the beat lists (see arch/stream_soa.h). Results
+     *        are bit-identical with or without a plan.
      */
     RunResult simulateStreaming(const sched::Schedule &schedule,
                                 const std::vector<float> &x,
                                 const SpmvParams &params,
                                 unsigned migration_depth,
-                                bool with_reduction,
                                 const StreamPlan *plan = nullptr) const;
 };
 

@@ -28,18 +28,7 @@ ChasonAccelerator::run(const sched::Schedule &schedule,
                        const std::vector<float> &x,
                        const SpmvParams &params) const
 {
-    return simulateStreaming(schedule, x, params, migrationDepth(),
-                             /*with_reduction=*/true);
-}
-
-RunResult
-ChasonAccelerator::runPlanned(const sched::Schedule &schedule,
-                              const StreamPlan &plan,
-                              const std::vector<float> &x,
-                              const SpmvParams &params) const
-{
-    return simulateStreaming(schedule, x, params, migrationDepth(),
-                             /*with_reduction=*/true, &plan);
+    return simulateStreaming(schedule, x, params, migrationDepth());
 }
 
 } // namespace arch

@@ -34,22 +34,10 @@ class ChasonAccelerator : public Accelerator
                   const SpmvParams &params = {}) const override;
 
     /**
-     * Run against a pre-packed StreamPlan (see arch/stream_soa.h).
-     * Bit-identical to run(); skips the per-run beat-list traversal,
-     * which is the dominant host cost when the same schedule is
-     * simulated repeatedly. The plan must have been built from this
-     * exact schedule with this accelerator's migrationDepth().
+     * Follows the scheduler configuration, at least 1 (the paper
+     * builds depth 1).
      */
-    RunResult runPlanned(const sched::Schedule &schedule,
-                         const StreamPlan &plan,
-                         const std::vector<float> &x,
-                         const SpmvParams &params = {}) const;
-
-    /**
-     * Shared-bank distances the datapath instantiates; follows the
-     * scheduler configuration (the paper builds depth 1).
-     */
-    unsigned migrationDepth() const;
+    unsigned migrationDepth() const override;
 
   private:
     double frequencyMhz_;

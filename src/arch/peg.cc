@@ -37,71 +37,25 @@ XWindowBuffer::load(const std::vector<float> &x, std::uint32_t base,
     window_.assign(x.begin() + base, x.begin() + base + len);
 }
 
-float
-XWindowBuffer::at(std::uint32_t global_col) const
+Pe::Pe(unsigned migration_depth, unsigned pes)
+    : banks_(1 + migration_depth * pes), depth_(migration_depth), pes_(pes)
 {
-    chason_assert(global_col >= base_ &&
-                      global_col - base_ < window_.size(),
-                  "column %u outside loaded window [%u, %zu)", global_col,
-                  base_, base_ + window_.size());
-    return window_[global_col - base_];
-}
-
-Pe::Pe(unsigned migration_depth, unsigned pes) : pes_(pes)
-{
-    shared_.resize(migration_depth);
-    for (auto &banks : shared_)
-        banks.resize(pes);
 }
 
 void
 Pe::reset(std::size_t uram_depth)
 {
-    pvt_.reset(uram_depth);
-    for (auto &banks : shared_) {
-        for (AccumulatorBank &bank : banks)
-            bank.reset(uram_depth);
-    }
-}
-
-void
-Pe::process(const sched::Slot &slot, const XWindowBuffer &x,
-            std::int64_t beat, const sched::SchedConfig &config,
-            unsigned my_channel, unsigned my_pe)
-{
-    if (!slot.valid)
-        return; // explicit zero: MAC skipped, PE idle this beat
-
-    const sched::LaneMap map(config);
-    const float product = slot.value * x.at(slot.col);
-    const std::uint32_t local_row =
-        map.localRowOf(slot.row) % config.rowsPerLanePerPass;
-
-    if (slot.pvt) {
-        chason_assert(slot.chSrc == my_channel && slot.peSrc == my_pe,
-                      "private slot of lane (%u,%u) routed to (%u,%u)",
-                      slot.chSrc, slot.peSrc, my_channel, my_pe);
-        pvt_.accumulate(local_row, product, beat, config.rawDistance);
-        return;
-    }
-
-    const unsigned distance =
-        (slot.chSrc + config.channels - my_channel) % config.channels;
-    chason_assert(distance >= 1 && distance <= shared_.size(),
-                  "migrated slot from channel %u needs distance %u, PE "
-                  "supports %zu", slot.chSrc, distance, shared_.size());
-    chason_assert(slot.peSrc < pes_, "PE_src %u out of range", slot.peSrc);
-    shared_[distance - 1][slot.peSrc].accumulate(local_row, product, beat,
-                                                 config.rawDistance);
+    for (AccumulatorBank &bank : banks_)
+        bank.reset(uram_depth);
 }
 
 const AccumulatorBank &
 Pe::shared(unsigned distance, unsigned src_pe) const
 {
-    chason_assert(distance >= 1 && distance <= shared_.size(),
+    chason_assert(distance >= 1 && distance <= depth_,
                   "shared distance %u out of range", distance);
     chason_assert(src_pe < pes_, "source PE %u out of range", src_pe);
-    return shared_[distance - 1][src_pe];
+    return banks_[sharedBankTag(distance, src_pe, pes_)];
 }
 
 Peg::Peg(const sched::SchedConfig &config, unsigned migration_depth)
@@ -130,16 +84,6 @@ Peg::pe(unsigned p) const
 {
     chason_assert(p < pes_.size(), "PE %u out of range", p);
     return pes_[p];
-}
-
-std::vector<float>
-Peg::reduceShared(unsigned distance, unsigned src_pe) const
-{
-    chason_assert(!pes_.empty(), "PEG without PEs");
-    const std::size_t depth = pes_.front().shared(distance, src_pe).depth();
-    std::vector<float> reduced(depth);
-    reduceSharedInto(distance, src_pe, reduced.data());
-    return reduced;
 }
 
 void

@@ -24,7 +24,6 @@
 
 #include "common/logging.h"
 #include "sched/config.h"
-#include "sched/schedule.h"
 
 namespace chason {
 namespace arch {
@@ -102,9 +101,6 @@ class XWindowBuffer
     void load(const std::vector<float> &x, std::uint32_t base,
               std::uint32_t len);
 
-    /** Read by global column index; panics outside the window. */
-    float at(std::uint32_t global_col) const;
-
     /** Raw window storage, indexed by window-local column. */
     const float *data() const { return window_.data(); }
 
@@ -120,8 +116,20 @@ class XWindowBuffer
 };
 
 /**
- * One processing element: multiplier + router + accumulator banks.
- * Shared banks are indexed [migration distance - 1][source PE].
+ * Tag of the ScUG bank holding products from source PE @p src_pe that
+ * migrated @p distance channels (>= 1). Tag 0 is URAM_pvt; this is the
+ * index into Pe::banks() that the Router's (pvt, PE_src) tags select.
+ */
+inline unsigned
+sharedBankTag(unsigned distance, unsigned src_pe, unsigned pes)
+{
+    return 1 + (distance - 1) * pes + src_pe;
+}
+
+/**
+ * One processing element's accumulator banks: URAM_pvt plus one ScUG
+ * bank per (migration distance, source PE). The multiplier and the
+ * Router that feed them are modelled by arch/stream_soa.h.
  */
 class Pe
 {
@@ -136,44 +144,19 @@ class Pe
     /** Clear all banks and size them for @p uram_depth rows. */
     void reset(std::size_t uram_depth);
 
-    /**
-     * Consume one slot at stream beat @p beat: multiply by the x window
-     * entry and accumulate into the bank selected by the slot's tags.
-     * Panics if the slot needs a bank this PE does not have.
-     */
-    void process(const sched::Slot &slot, const XWindowBuffer &x,
-                 std::int64_t beat, const sched::SchedConfig &config,
-                 unsigned my_channel, unsigned my_pe);
-
-    const AccumulatorBank &pvt() const { return pvt_; }
+    const AccumulatorBank &pvt() const { return banks_[0]; }
 
     /** Shared bank for (distance, source PE); distance >= 1. */
     const AccumulatorBank &shared(unsigned distance, unsigned src_pe) const;
 
-    /**
-     * Mutable bank access for the SoA streaming fast path
-     * (arch/stream_soa.cc), which routes products itself and writes
-     * through AccumulatorBank::accumulate directly. Same checks, same
-     * banks — just without the per-slot routing re-derivation.
-     */
-    AccumulatorBank &pvtBank() { return pvt_; }
-    AccumulatorBank &
-    sharedBank(unsigned distance, unsigned src_pe)
-    {
-        chason_assert(distance >= 1 && distance <= shared_.size(),
-                      "shared distance %u out of range", distance);
-        chason_assert(src_pe < pes_, "source PE %u out of range", src_pe);
-        return shared_[distance - 1][src_pe];
-    }
+    /** Every bank, indexed by bank tag (see sharedBankTag()). */
+    AccumulatorBank *banks() { return banks_.data(); }
 
-    unsigned migrationDepth() const
-    {
-        return static_cast<unsigned>(shared_.size());
-    }
+    unsigned migrationDepth() const { return depth_; }
 
   private:
-    AccumulatorBank pvt_;
-    std::vector<std::vector<AccumulatorBank>> shared_;
+    std::vector<AccumulatorBank> banks_; ///< indexed by bank tag
+    unsigned depth_;
     unsigned pes_;
 };
 
@@ -194,16 +177,9 @@ class Peg
     /**
      * Reduction Unit (Section 4.2.2): sum the shared banks of all PEs
      * for a given (distance, source PE) — the adder-tree sweep — and
-     * return the consolidated per-row partial sums.
-     */
-    std::vector<float> reduceShared(unsigned distance,
-                                    unsigned src_pe) const;
-
-    /**
-     * Allocation-free reduceShared: writes the consolidated sums into
-     * @p out (bank depth entries). Summation order is the same balanced
-     * pairwise adder tree, evaluated element-wise, so the results are
-     * bit-identical to reduceShared().
+     * write the consolidated per-row partial sums into @p out (bank
+     * depth entries). The summation order is a balanced pairwise adder
+     * tree, evaluated one address at a time.
      */
     void reduceSharedInto(unsigned distance, unsigned src_pe,
                           float *out) const;

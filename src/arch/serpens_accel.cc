@@ -42,9 +42,7 @@ SerpensAccelerator::run(const sched::Schedule &schedule,
             }
         }
     }
-    return simulateStreaming(schedule, x, params,
-                             /*migration_depth=*/0,
-                             /*with_reduction=*/false);
+    return simulateStreaming(schedule, x, params, migrationDepth());
 }
 
 } // namespace arch

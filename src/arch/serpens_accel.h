@@ -33,6 +33,9 @@ class SerpensAccelerator : public Accelerator
                   const std::vector<float> &x,
                   const SpmvParams &params = {}) const override;
 
+    /** No ScUG: a migrated slot is a hard error. */
+    unsigned migrationDepth() const override { return 0; }
+
   private:
     double frequencyMhz_;
 };

@@ -1,205 +1,63 @@
 /**
  * @file
- * SoA streaming fast path implementation.
+ * Slot routing and the two streaming loops that apply it.
  */
 
 #include "arch/stream_soa.h"
 
-#include "common/logging.h"
-
-#if defined(__x86_64__) || defined(_M_X64)
-#define CHASON_STREAM_SOA_X86 1
-#include <immintrin.h>
-#else
-#define CHASON_STREAM_SOA_X86 0
-#endif
+#include <algorithm>
 
 namespace chason {
 namespace arch {
 
-namespace {
-
-/**
- * out[i] = val[i] * win[idx[i]], element-wise fp32 multiply. Kept free
- * of fused multiply-adds on purpose: the product must round to fp32
- * before the accumulate so the fast path reproduces Pe::process
- * bit-for-bit.
- */
-void
-mulGatherScalar(const float *val, const std::uint32_t *idx,
-                std::size_t n, const float *win, float *out)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = val[i] * win[idx[i]];
-}
-
-#if CHASON_STREAM_SOA_X86
-__attribute__((target("avx2"))) void
-mulGatherAvx2(const float *val, const std::uint32_t *idx, std::size_t n,
-              const float *win, float *out)
-{
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m256i vi = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(idx + i));
-        const __m256 vx = _mm256_i32gather_ps(win, vi, 4);
-        const __m256 vv = _mm256_loadu_ps(val + i);
-        // _mm256_mul_ps rounds exactly like the scalar fp32 multiply.
-        _mm256_storeu_ps(out + i, _mm256_mul_ps(vv, vx));
-    }
-    for (; i < n; ++i)
-        out[i] = val[i] * win[idx[i]];
-}
-
-bool
-cpuHasAvx2()
-{
-    return __builtin_cpu_supports("avx2") != 0;
-}
-#endif
-
-void
-mulGather(const float *val, const std::uint32_t *idx, std::size_t n,
-          const float *win, float *out)
-{
-#if CHASON_STREAM_SOA_X86
-    static const bool use_avx2 = cpuHasAvx2();
-    if (use_avx2) {
-        mulGatherAvx2(val, idx, n, win, out);
-        return;
-    }
-#endif
-    mulGatherScalar(val, idx, n, win, out);
-}
-
-} // namespace
-
 bool
 streamSoaUsesAvx2()
 {
-#if CHASON_STREAM_SOA_X86
-    return cpuHasAvx2();
-#else
     return false;
-#endif
 }
 
-void
-packChannel(const sched::ChannelWindowSchedule &cws,
-            const sched::SchedConfig &config, unsigned channel,
-            unsigned migration_depth, std::uint32_t win_base,
-            std::uint32_t win_len, PackedChannel &out)
+SlotRouter::SlotRouter(const sched::SchedConfig &config,
+                       unsigned migration_depth, std::uint32_t win_base,
+                       std::uint32_t win_len)
+    : winBase_(win_base), winLen_(win_len),
+      lanes_(sched::LaneMap(config).lanes()), laneShift_(-1),
+      rowsPerLanePerPass_(config.rowsPerLanePerPass),
+      rplpPow2_((config.rowsPerLanePerPass &
+                 (config.rowsPerLanePerPass - 1)) == 0),
+      channels_(config.channels), pes_(config.pesPerGroup()),
+      migrationDepth_(migration_depth)
 {
-    const unsigned pes = config.pesPerGroup();
-    const sched::LaneMap map(config);
-    const std::uint32_t lanes = map.lanes();
-    const std::uint32_t rplp = config.rowsPerLanePerPass;
-
-    // Power-of-two geometry (the default config) turns the per-slot
-    // divisions of the local-row derivation into shifts/masks.
-    const bool lanes_pow2 = (lanes & (lanes - 1)) == 0;
-    const bool rplp_pow2 = (rplp & (rplp - 1)) == 0;
-    unsigned lane_shift = 0;
-    while (lanes_pow2 && (1u << lane_shift) < lanes)
-        ++lane_shift;
-
-    for (unsigned p = 0; p < pes; ++p)
-        out.lanes[p].clear();
-
-    // Pack pass: one sequential read of the AoS beat list, appending
-    // each valid slot to its PE's SoA lane. All model checks that
-    // Pe::process performed per slot happen here.
-    for (std::size_t t = 0; t < cws.beats.size(); ++t) {
-        const sched::Beat &bt = cws.beats[t];
-        for (unsigned p = 0; p < pes; ++p) {
-            const sched::Slot &slot = bt.slots[p];
-            if (!slot.valid)
-                continue; // explicit zero: MAC skipped, PE idle
-            PackedLane &lane = out.lanes[p];
-
-            chason_assert(slot.col >= win_base &&
-                              slot.col - win_base < win_len,
-                          "column %u outside loaded window [%u, %u)",
-                          slot.col, win_base, win_base + win_len);
-            const std::uint32_t local_row = lanes_pow2
-                ? slot.row >> lane_shift
-                : slot.row / lanes;
-            const std::uint32_t addr =
-                rplp_pow2 ? (local_row & (rplp - 1)) : (local_row % rplp);
-
-            std::uint8_t bank;
-            if (slot.pvt) {
-                chason_assert(
-                    slot.chSrc == channel && slot.peSrc == p,
-                    "private slot of lane (%u,%u) routed to (%u,%u)",
-                    slot.chSrc, slot.peSrc, channel, p);
-                bank = 0;
-            } else {
-                const unsigned distance =
-                    (slot.chSrc + config.channels - channel) %
-                    config.channels;
-                chason_assert(distance >= 1 &&
-                                  distance <= migration_depth,
-                              "migrated slot from channel %u needs "
-                              "distance %u, PE supports %u",
-                              slot.chSrc, distance, migration_depth);
-                chason_assert(slot.peSrc < pes, "PE_src %u out of range",
-                              slot.peSrc);
-                const unsigned bank_id =
-                    1 + (distance - 1) * pes + slot.peSrc;
-                chason_assert(bank_id <= 255,
-                              "bank id %u overflows the SoA routing tag",
-                              bank_id);
-                bank = static_cast<std::uint8_t>(bank_id);
-            }
-            lane.value.push_back(slot.value);
-            lane.winCol.push_back(slot.col - win_base);
-            lane.addr.push_back(addr);
-            lane.beat.push_back(static_cast<std::uint32_t>(t));
-            lane.bank.push_back(bank);
-        }
+    if ((lanes_ & (lanes_ - 1)) == 0) {
+        laneShift_ = 0;
+        while ((1u << laneShift_) < lanes_)
+            ++laneShift_;
     }
 }
 
 void
-macPackedChannel(const PackedChannel &packed, Peg &peg,
-                 const XWindowBuffer &x, std::int64_t beat_base,
-                 const sched::SchedConfig &config,
-                 std::vector<float> &product)
+streamChannel(const sched::ChannelWindowSchedule &cws,
+              const SlotRouter &router, unsigned channel,
+              const XWindowBuffer &x, std::int64_t beat_base,
+              const sched::SchedConfig &config, Peg &peg)
 {
-    const unsigned pes = config.pesPerGroup();
+    const unsigned pes = peg.pes();
+    AccumulatorBank *banks[sched::kMaxPesPerGroup];
+    for (unsigned p = 0; p < pes; ++p)
+        banks[p] = peg.pe(p).banks();
+    const float *win = x.data();
+    const sched::Beat *beats = cws.beats.data();
 
-    // MAC pass, one PE at a time: dense multiply, then in-order
-    // accumulation through the checked banks.
-    // chason-lint: begin-hot (runPlanned replay: the packed-lane MAC
-    // loop is the hottest code in the simulator)
-    for (unsigned p = 0; p < pes; ++p) {
-        const PackedLane &lane = packed.lanes[p];
-        const std::size_t n = lane.value.size();
-        if (n == 0)
-            continue;
-        product.resize(n); // chason-lint: allow(CHL002) amortized scratch, capacity survives across calls
-        mulGather(lane.value.data(), lane.winCol.data(), n, x.data(),
-                  product.data());
-
-        // Bank routing table: index 0 is URAM_pvt, then the shared
-        // banks in (distance, source PE) order.
-        Pe &pe = peg.pe(p);
-        const unsigned depth = pe.migrationDepth();
-        AccumulatorBank *banks[256]; // indexed by the uint8 routing tag
-        banks[0] = &pe.pvtBank();
-        for (unsigned d = 1; d <= depth; ++d)
-            for (unsigned s = 0; s < pes; ++s)
-                banks[1 + (d - 1) * pes + s] = &pe.sharedBank(d, s);
-
-        const std::uint32_t *addr = lane.addr.data();
-        const std::uint32_t *beat = lane.beat.data();
-        const std::uint8_t *bank = lane.bank.data();
-        const float *prod = product.data();
-        for (std::size_t i = 0; i < n; ++i) {
-            banks[bank[i]]->accumulate(
-                addr[i], prod[i],
-                beat_base + static_cast<std::int64_t>(beat[i]),
+    // chason-lint: begin-hot (the walk every run() takes: one pass over
+    // the beat list, one checked accumulate per valid slot)
+    for (std::size_t t = 0; t < cws.beats.size(); ++t) {
+        for (unsigned p = 0; p < pes; ++p) {
+            const sched::Slot &slot = beats[t].slots[p];
+            if (!slot.valid)
+                continue; // explicit zero: MAC skipped, PE idle
+            const SlotRoute r = router.route(slot, channel, p);
+            const float product = slot.value * win[r.winCol];
+            banks[p][r.bank].accumulate(
+                r.addr, product, beat_base + static_cast<std::int64_t>(t),
                 config.rawDistance);
         }
     }
@@ -207,15 +65,57 @@ macPackedChannel(const PackedChannel &packed, Peg &peg,
 }
 
 void
-streamChannelSoa(const sched::ChannelWindowSchedule &cws, Peg &peg,
-                 const XWindowBuffer &x, std::int64_t beat_base,
-                 const sched::SchedConfig &config, unsigned channel,
-                 unsigned migration_depth, StreamScratch &scratch)
+packChannel(const sched::ChannelWindowSchedule &cws,
+            const SlotRouter &router, unsigned channel,
+            const sched::SchedConfig &config, PackedChannel &out)
 {
-    packChannel(cws, config, channel, migration_depth, x.base(),
-                x.length(), scratch.packed);
-    macPackedChannel(scratch.packed, peg, x, beat_base, config,
-                     scratch.product);
+    const unsigned pes = config.pesPerGroup();
+    for (unsigned p = 0; p < pes; ++p)
+        out.lanes[p].clear();
+    for (std::size_t t = 0; t < cws.beats.size(); ++t) {
+        const sched::Beat &bt = cws.beats[t];
+        for (unsigned p = 0; p < pes; ++p) {
+            const sched::Slot &slot = bt.slots[p];
+            if (!slot.valid)
+                continue;
+            const SlotRoute r = router.route(slot, channel, p);
+            PackedLane &lane = out.lanes[p];
+            lane.value.push_back(slot.value);
+            lane.winCol.push_back(r.winCol);
+            lane.addr.push_back(r.addr);
+            lane.beat.push_back(static_cast<std::uint32_t>(t));
+            lane.bank.push_back(r.bank);
+        }
+    }
+}
+
+void
+macPackedChannel(const PackedChannel &packed, Peg &peg,
+                 const XWindowBuffer &x, std::int64_t beat_base,
+                 const sched::SchedConfig &config)
+{
+    const float *win = x.data();
+    const unsigned raw_distance = config.rawDistance;
+    // chason-lint: begin-hot (runPlanned replay: the packed-lane MAC
+    // loop is the hottest code in the simulator)
+    for (unsigned p = 0; p < peg.pes(); ++p) {
+        const PackedLane &lane = packed.lanes[p];
+        AccumulatorBank *banks = peg.pe(p).banks();
+        const std::size_t n = lane.value.size();
+        const float *value = lane.value.data();
+        const std::uint32_t *col = lane.winCol.data();
+        const std::uint32_t *addr = lane.addr.data();
+        const std::uint32_t *beat = lane.beat.data();
+        const std::uint8_t *bank = lane.bank.data();
+        for (std::size_t i = 0; i < n; ++i) {
+            const float product = value[i] * win[col[i]];
+            banks[bank[i]].accumulate(
+                addr[i], product,
+                beat_base + static_cast<std::int64_t>(beat[i]),
+                raw_distance);
+        }
+    }
+    // chason-lint: end-hot
 }
 
 StreamPlan::StreamPlan(const sched::Schedule &schedule,
@@ -231,9 +131,9 @@ StreamPlan::StreamPlan(const sched::Schedule &schedule,
         const std::uint32_t win_base = phase.window * sc.windowCols;
         const std::uint32_t win_len = std::min<std::uint32_t>(
             sc.windowCols, schedule.cols - win_base);
+        const SlotRouter router(sc, migration_depth, win_base, win_len);
         for (unsigned ch = 0; ch < channels_; ++ch) {
-            packChannel(phase.channels[ch], sc, ch, migration_depth,
-                        win_base, win_len,
+            packChannel(phase.channels[ch], router, ch, sc,
                         packed_[ph * channels_ + ch]);
         }
     }

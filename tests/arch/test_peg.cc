@@ -4,6 +4,7 @@
  */
 
 #include "arch/peg.h"
+#include "arch/stream_soa.h"
 
 #include <gtest/gtest.h>
 
@@ -77,8 +78,8 @@ TEST(XWindowBuffer, LoadAndRead)
     buf.load(x, 4, 3);
     EXPECT_EQ(buf.base(), 4u);
     EXPECT_EQ(buf.length(), 3u);
-    EXPECT_FLOAT_EQ(buf.at(4), 4.0f);
-    EXPECT_FLOAT_EQ(buf.at(6), 6.0f);
+    EXPECT_FLOAT_EQ(buf.data()[0], 4.0f);
+    EXPECT_FLOAT_EQ(buf.data()[2], 6.0f);
 }
 
 TEST(XWindowBufferDeath, OutsideWindowPanics)
@@ -86,8 +87,13 @@ TEST(XWindowBufferDeath, OutsideWindowPanics)
     XWindowBuffer buf;
     const std::vector<float> x(16, 1.0f);
     buf.load(x, 8, 4);
-    EXPECT_DEATH(buf.at(7), "window");
-    EXPECT_DEATH(buf.at(12), "window");
+    const SlotRouter router(cfg4(), 1, buf.base(), buf.length());
+    sched::Slot slot;
+    slot.valid = true;
+    slot.col = 7;
+    EXPECT_DEATH(router.route(slot, 0, 0), "window");
+    slot.col = 12;
+    EXPECT_DEATH(router.route(slot, 0, 0), "window");
 }
 
 TEST(XWindowBufferDeath, LoadBeyondXPanics)
@@ -97,11 +103,28 @@ TEST(XWindowBufferDeath, LoadBeyondXPanics)
     EXPECT_DEATH(buf.load(x, 2, 4), "outside x");
 }
 
+/**
+ * Stream @p slot through PE @p pe of channel @p channel at beat 0: a
+ * one-beat channel schedule walked by streamChannel.
+ */
+void
+streamSlot(Peg &peg, const sched::Slot &slot, const XWindowBuffer &buf,
+           const sched::SchedConfig &cfg, unsigned channel, unsigned pe)
+{
+    sched::Beat beat;
+    beat.slots[pe] = slot;
+    sched::ChannelWindowSchedule cws;
+    cws.beats.append(1, beat);
+    const SlotRouter router(cfg, peg.pe(0).migrationDepth(), buf.base(),
+                            buf.length());
+    streamChannel(cws, router, channel, buf, 0, cfg, peg);
+}
+
 TEST(Pe, PrivateRouting)
 {
     sched::SchedConfig cfg = cfg4();
-    Pe pe(1, 4);
-    pe.reset(16);
+    Peg peg(cfg, 1);
+    peg.reset(16);
     XWindowBuffer buf;
     const std::vector<float> x(64, 2.0f);
     buf.load(x, 0, 64);
@@ -114,15 +137,15 @@ TEST(Pe, PrivateRouting)
     slot.pvt = true;
     slot.peSrc = 0;
     slot.chSrc = 0;
-    pe.process(slot, buf, 0, cfg, 0, 0);
-    EXPECT_FLOAT_EQ(pe.pvt().value(1), 6.0f);
+    streamSlot(peg, slot, buf, cfg, 0, 0);
+    EXPECT_FLOAT_EQ(peg.pe(0).pvt().value(1), 6.0f);
 }
 
 TEST(Pe, SharedRoutingByPeSrc)
 {
     sched::SchedConfig cfg = cfg4();
-    Pe pe(1, 4);
-    pe.reset(16);
+    Peg peg(cfg, 1);
+    peg.reset(16);
     XWindowBuffer buf;
     const std::vector<float> x(64, 1.0f);
     buf.load(x, 0, 64);
@@ -136,28 +159,28 @@ TEST(Pe, SharedRoutingByPeSrc)
     slot.pvt = false;
     slot.peSrc = 2;
     slot.chSrc = 1;
-    pe.process(slot, buf, 0, cfg, /*my_channel=*/0, /*my_pe=*/3);
-    EXPECT_FLOAT_EQ(pe.shared(1, 2).value(1), 4.0f);
-    EXPECT_FLOAT_EQ(pe.pvt().value(1), 0.0f);
+    streamSlot(peg, slot, buf, cfg, /*channel=*/0, /*pe=*/3);
+    EXPECT_FLOAT_EQ(peg.pe(3).shared(1, 2).value(1), 4.0f);
+    EXPECT_FLOAT_EQ(peg.pe(3).pvt().value(1), 0.0f);
 }
 
 TEST(Pe, InvalidSlotIsIgnored)
 {
     sched::SchedConfig cfg = cfg4();
-    Pe pe(1, 4);
-    pe.reset(4);
+    Peg peg(cfg, 1);
+    peg.reset(4);
     XWindowBuffer buf;
     const std::vector<float> x(64, 1.0f);
     buf.load(x, 0, 64);
-    pe.process(sched::Slot(), buf, 0, cfg, 0, 0);
-    EXPECT_FLOAT_EQ(pe.pvt().value(0), 0.0f);
+    streamSlot(peg, sched::Slot(), buf, cfg, 0, 0);
+    EXPECT_FLOAT_EQ(peg.pe(0).pvt().value(0), 0.0f);
 }
 
 TEST(PeDeath, WrongLanePanics)
 {
     sched::SchedConfig cfg = cfg4();
-    Pe pe(1, 4);
-    pe.reset(4);
+    Peg peg(cfg, 1);
+    peg.reset(4);
     XWindowBuffer buf;
     const std::vector<float> x(64, 1.0f);
     buf.load(x, 0, 64);
@@ -169,14 +192,14 @@ TEST(PeDeath, WrongLanePanics)
     slot.pvt = true;
     slot.peSrc = 1;
     slot.chSrc = 0;
-    EXPECT_DEATH(pe.process(slot, buf, 0, cfg, 0, 0), "routed");
+    EXPECT_DEATH(streamSlot(peg, slot, buf, cfg, 0, 0), "routed");
 }
 
 TEST(PeDeath, MigrationBeyondDepthPanics)
 {
     sched::SchedConfig cfg = cfg4();
-    Pe pe(1, 4); // depth 1 only
-    pe.reset(4);
+    Peg peg(cfg, 1); // depth 1 only
+    peg.reset(4);
     XWindowBuffer buf;
     const std::vector<float> x(64, 1.0f);
     buf.load(x, 0, 64);
@@ -189,7 +212,7 @@ TEST(PeDeath, MigrationBeyondDepthPanics)
     slot.peSrc = 0;
     slot.chSrc = 2;
     // Received on channel 0: distance 2 > depth 1.
-    EXPECT_DEATH(pe.process(slot, buf, 0, cfg, 0, 0), "distance");
+    EXPECT_DEATH(streamSlot(peg, slot, buf, cfg, 0, 0), "distance");
 }
 
 TEST(Peg, ReduceSharedSumsAcrossPes)
@@ -212,14 +235,15 @@ TEST(Peg, ReduceSharedSumsAcrossPes)
         slot.pvt = false;
         slot.peSrc = 1;
         slot.chSrc = 1;
-        peg.pe(dest_pe).process(slot, buf, 0, cfg, 0, dest_pe);
+        streamSlot(peg, slot, buf, cfg, 0, dest_pe);
     }
-    const std::vector<float> reduced = peg.reduceShared(1, 1);
-    ASSERT_EQ(reduced.size(), 8u);
+    std::vector<float> reduced(8);
+    peg.reduceSharedInto(1, 1, reduced.data());
     EXPECT_FLOAT_EQ(reduced[1], 6.0f);
     EXPECT_FLOAT_EQ(reduced[0], 0.0f);
     // Other source PE banks untouched.
-    EXPECT_FLOAT_EQ(peg.reduceShared(1, 0)[1], 0.0f);
+    peg.reduceSharedInto(1, 0, reduced.data());
+    EXPECT_FLOAT_EQ(reduced[1], 0.0f);
 }
 
 TEST(Peg, SerpensStylePeHasNoSharedBanks)

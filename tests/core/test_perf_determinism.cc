@@ -3,28 +3,31 @@
  * Determinism regressions for the offline fast paths.
  *
  * The rewrite's contract is that none of its speed mechanisms —
- * parallel phase scheduling on a caller-owned pool, the SoA/AVX2
- * streaming core, the precomputed StreamPlan, PEG pooling, the blocked
- * column scatter — may change one bit of any result. These tests pin
- * that contract on three R-MAT tiers: pooled CrHCS must produce the
- * calling-thread schedule slot for slot at every pool size,
- * the planned simulation must reproduce run() exactly (y, every cycle
- * counter, the report JSON), and the cache-blocked scatter must
- * produce the direct scatter's arrays.
+ * parallel phase scheduling on a caller-owned pool, the precomputed
+ * StreamPlan, PEG pooling, the blocked column scatter — may change one
+ * bit of any result. These tests pin that contract on three R-MAT
+ * tiers: pooled CrHCS must produce the calling-thread schedule slot for
+ * slot at every pool size, the plan replay must reproduce run()'s
+ * beat-list walk exactly (y, every cycle counter, traffic, the report
+ * JSON) on both datapaths, and the cache-blocked scatter must produce
+ * the direct scatter's arrays.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "arch/chason_accel.h"
+#include "arch/serpens_accel.h"
 #include "arch/stream_soa.h"
 #include "common/rng.h"
 #include "core/engine.h"
 #include "core/report_json.h"
 #include "core/thread_pool.h"
 #include "sched/crhcs.h"
+#include "sched/pe_aware.h"
 #include "sparse/csc.h"
 #include "sparse/generators.h"
 #include "support/schedule_equal.h"
@@ -80,35 +83,105 @@ TEST(PerfDeterminism, ParallelSchedulingIsBitIdentical)
     }
 }
 
-TEST(PerfDeterminism, PlannedSimulationMatchesRunExactly)
+/** Farthest channel distance any migrated slot of @p s travels. */
+unsigned
+maxMigrationDistance(const sched::Schedule &s)
 {
-    arch::ArchConfig ac;
-    const arch::ChasonAccelerator accel(ac);
-    const sched::CrhcsScheduler scheduler(ac.sched);
+    const unsigned channels = s.config.channels;
+    unsigned farthest = 0;
+    for (const sched::WindowSchedule &phase : s.phases) {
+        for (unsigned ch = 0; ch < channels; ++ch) {
+            for (const sched::Beat &beat : phase.channels[ch].beats) {
+                for (unsigned p = 0; p < s.config.pesPerGroup(); ++p) {
+                    const sched::Slot &slot = beat.slots[p];
+                    if (slot.valid && !slot.pvt)
+                        farthest = std::max(
+                            farthest,
+                            (slot.chSrc + channels - ch) % channels);
+                }
+            }
+        }
+    }
+    return farthest;
+}
+
+/** Bit-for-bit equality of two runs: y, every cycle field, traffic. */
+void
+expectSameRun(const arch::RunResult &ref, const arch::RunResult &planned)
+{
+    ASSERT_EQ(ref.y.size(), planned.y.size());
+    // operator== on the vectors is the bit check: equal floats,
+    // including signed zeros behaving identically downstream.
+    EXPECT_TRUE(ref.y == planned.y);
+    EXPECT_EQ(ref.cycles.matrixStream, planned.cycles.matrixStream);
+    EXPECT_EQ(ref.cycles.xLoad, planned.cycles.xLoad);
+    EXPECT_EQ(ref.cycles.pipelineFill, planned.cycles.pipelineFill);
+    EXPECT_EQ(ref.cycles.reduction, planned.cycles.reduction);
+    EXPECT_EQ(ref.cycles.writeback, planned.cycles.writeback);
+    EXPECT_EQ(ref.cycles.instStream, planned.cycles.instStream);
+    EXPECT_EQ(ref.cycles.launch, planned.cycles.launch);
+    EXPECT_EQ(ref.traffic.totalBytes(), planned.traffic.totalBytes());
+    EXPECT_DOUBLE_EQ(ref.latencyUs, planned.latencyUs);
+}
+
+/**
+ * Walk (run) against replay (runPlanned) of @p scheduler's schedule on
+ * @p accel, at every tier, for plain SpMV and for a beta != 0 call.
+ */
+void
+expectPlannedMatchesRun(const arch::Accelerator &accel,
+                        const sched::Scheduler &scheduler)
+{
     for (const Tier &tier : kTiers) {
         SCOPED_TRACE(tier.name);
         const sparse::CsrMatrix a = tierMatrix(tier);
         Rng rng = Rng::forStream(0xD373F00D, tier.scale);
         const std::vector<float> x = sparse::randomVector(a.cols(), rng);
+        const std::vector<float> y_in = sparse::randomVector(a.rows(), rng);
 
         const sched::Schedule schedule = scheduler.schedule(a);
         const arch::StreamPlan plan(schedule, accel.migrationDepth());
 
-        const arch::RunResult ref = accel.run(schedule, x);
-        const arch::RunResult planned =
-            accel.runPlanned(schedule, plan, x);
+        expectSameRun(accel.run(schedule, x),
+                      accel.runPlanned(schedule, plan, x));
 
-        ASSERT_EQ(ref.y.size(), planned.y.size());
-        // operator== on the vectors is the bit check: equal floats,
-        // including signed zeros behaving identically downstream.
-        EXPECT_TRUE(ref.y == planned.y);
-        EXPECT_EQ(ref.cycles.total(), planned.cycles.total());
-        EXPECT_EQ(ref.cycles.matrixStream, planned.cycles.matrixStream);
-        EXPECT_EQ(ref.cycles.xLoad, planned.cycles.xLoad);
-        EXPECT_EQ(ref.cycles.pipelineFill, planned.cycles.pipelineFill);
-        EXPECT_EQ(ref.cycles.reduction, planned.cycles.reduction);
-        EXPECT_EQ(ref.cycles.writeback, planned.cycles.writeback);
-        EXPECT_DOUBLE_EQ(ref.latencyUs, planned.latencyUs);
+        arch::SpmvParams params;
+        params.alpha = 0.75f;
+        params.beta = -1.5f;
+        params.yIn = &y_in;
+        expectSameRun(accel.run(schedule, x, params),
+                      accel.runPlanned(schedule, plan, x, params));
+    }
+}
+
+TEST(PerfDeterminism, PlannedSimulationMatchesRunExactly)
+{
+    {
+        SCOPED_TRACE("chason, CrHCS depth 1");
+        const arch::ArchConfig ac;
+        expectPlannedMatchesRun(arch::ChasonAccelerator(ac),
+                                sched::CrhcsScheduler(ac.sched));
+    }
+    {
+        SCOPED_TRACE("chason, CrHCS depth 2");
+        arch::ArchConfig ac;
+        ac.sched.migrationDepth = 2;
+        const arch::ChasonAccelerator accel(ac);
+        ASSERT_EQ(accel.migrationDepth(), 2u);
+        const sched::CrhcsScheduler scheduler(ac.sched);
+        // The case must exercise the second ScUG distance.
+        ASSERT_EQ(maxMigrationDistance(
+                      scheduler.schedule(tierMatrix(kTiers[2]))),
+                  2u);
+        expectPlannedMatchesRun(accel, scheduler);
+    }
+    {
+        SCOPED_TRACE("serpens, PE-aware");
+        arch::ArchConfig ac;
+        ac.sched.migrationDepth = 0;
+        const arch::SerpensAccelerator accel(ac);
+        ASSERT_EQ(accel.migrationDepth(), 0u);
+        expectPlannedMatchesRun(accel, sched::PeAwareScheduler(ac.sched));
     }
 }
 

@@ -11,8 +11,11 @@
 #include "serve/json.h"
 #include "serve/protocol.h"
 
+#include <cctype>
 #include <cmath>
+#include <random>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -201,6 +204,90 @@ TEST(ServeProtocol, RejectsOutOfBoundsGeometry)
     // The id still parsed, so the error can be correlated.
     EXPECT_TRUE(request.hasId);
     EXPECT_EQ(request.id, 1u);
+}
+
+/**
+ * Client-bytes fuzz: mutations of the valid requests above — truncated,
+ * bit-flipped, spliced, or with a numeric field widened to 30 digits —
+ * must each be accepted, or refused with a reason. None may reach
+ * fatal() or panic(), which would abort this test binary.
+ */
+TEST(ServeProtocol, FuzzedRequestsNeverAbort)
+{
+    const std::vector<std::string> valid = {
+        R"({"id":7,"dataset":"CM"})",
+        R"({"id":33,"dataset":"CM"})",
+        R"({"id":1,"tenant":"t0","rmat":{"scale":9,"edges":4000,)"
+        R"("seed":3},"xseed":42,"engine":"serpens",)"
+        R"("config":{"channels":8,"window":256,"rows_per_lane":64,)"
+        R"("raw_distance":4,"pes":4}})",
+    };
+    std::mt19937_64 rng(0x5EEDF022);
+    auto below = [&rng](std::size_t n) {
+        return static_cast<std::size_t>(rng() % n);
+    };
+    auto digits = [&](std::size_t n) {
+        std::string out;
+        for (std::size_t i = 0; i < n; ++i)
+            out += static_cast<char>('0' + below(10));
+        return out;
+    };
+
+    constexpr int kIterations = 20000;
+    int accepted = 0;
+    for (int iter = 0; iter < kIterations; ++iter) {
+        std::string line = valid[below(valid.size())];
+        switch (iter % 4) {
+        case 0: // truncation
+            line.resize(below(line.size() + 1));
+            break;
+        case 1: // one to four bit flips
+            for (std::size_t n = 1 + below(4); n > 0; --n)
+                line[below(line.size())] ^=
+                    static_cast<char>(1u << below(8));
+            break;
+        case 2: { // splice: a prefix of one request, a suffix of another
+            const std::string &tail = valid[below(valid.size())];
+            line = line.substr(0, below(line.size() + 1)) +
+                tail.substr(below(tail.size() + 1));
+            break;
+        }
+        default: { // a numeric field widened to 30 digits
+            std::vector<std::size_t> starts;
+            for (std::size_t i = 0; i < line.size(); ++i) {
+                if (std::isdigit(static_cast<unsigned char>(line[i])) &&
+                    (i == 0 ||
+                     !std::isdigit(static_cast<unsigned char>(line[i - 1]))))
+                    starts.push_back(i);
+            }
+            const std::size_t at = starts[below(starts.size())];
+            std::size_t end = at;
+            while (end < line.size() &&
+                   std::isdigit(static_cast<unsigned char>(line[end])))
+                ++end;
+            static const char *const kShapes[] = {"", "-", "0", "1e", "."};
+            std::string wide = digits(30);
+            const std::string shape = kShapes[below(5)];
+            if (shape == "1e" || shape == ".")
+                wide = "1" + shape + wide;
+            else
+                wide = shape + wide;
+            line.replace(at, end - at, wide);
+            break;
+        }
+        }
+        SCOPED_TRACE(line);
+        Request request;
+        std::string error;
+        if (parseRequest(line, request, error)) {
+            ++accepted;
+        } else {
+            EXPECT_FALSE(error.empty());
+        }
+    }
+    // Both outcomes occur, so the mutations reach past the JSON layer.
+    EXPECT_GT(accepted, 0);
+    EXPECT_LT(accepted, kIterations);
 }
 
 // ----------------------------------------------------------- responses
