@@ -6,16 +6,9 @@
 #include "common/arena.h"
 
 #include "common/logging.h"
-#include "common/pagepool.h"
 
 namespace chason {
 namespace common {
-
-void
-Arena::ChunkDeleter::operator()(std::byte *p) const noexcept
-{
-    pagePoolFree(p, size);
-}
 
 Arena::Arena(std::size_t chunk_bytes) : chunkBytes_(chunk_bytes)
 {
@@ -41,12 +34,9 @@ Arena::allocateRaw(std::size_t bytes, std::size_t align)
         chunks_.back().used + bytes + align > chunks_.back().size) {
         Chunk chunk;
         chunk.size = std::max(chunkBytes_, bytes + align);
-        // PagePool storage: uninitialized (arena clients value-init
-        // what they need — make_unique would zero the whole chunk) and
-        // recycled across phase-work builds instead of re-faulted.
-        chunk.data = std::unique_ptr<std::byte[], ChunkDeleter>(
-            static_cast<std::byte *>(pagePoolAlloc(chunk.size)),
-            ChunkDeleter{chunk.size});
+        // Uninitialized: arena clients value-init what they need, and
+        // make_unique would zero the whole chunk.
+        chunk.data = std::make_unique_for_overwrite<std::byte[]>(chunk.size);
         chunks_.push_back(std::move(chunk));
     }
     Chunk &chunk = chunks_.back();

@@ -107,22 +107,9 @@ class Arena
   private:
     void *allocateRaw(std::size_t bytes, std::size_t align);
 
-    /** Returns a chunk's storage to the PagePool it came from. */
-    struct ChunkDeleter
-    {
-        // No default member initializer: GCC rejects one here, since
-        // the nested class's NSDMI is not yet usable when Chunk's
-        // implicit constructors are declared.
-        ChunkDeleter() : size(0) {}
-        explicit ChunkDeleter(std::size_t s) : size(s) {}
-
-        std::size_t size;
-        void operator()(std::byte *p) const noexcept;
-    };
-
     struct Chunk
     {
-        std::unique_ptr<std::byte[], ChunkDeleter> data;
+        std::unique_ptr<std::byte[]> data;
         std::size_t size = 0;
         std::size_t used = 0;
     };

@@ -6,7 +6,7 @@
  * across job counts is a compile-time contract here, not a runtime
  * hope: every concurrent subsystem (core::ThreadPool,
  * core::ScheduleCache, core::BatchEngine, trace::TraceSink, the
- * PagePool registry, the buildinfo revision cache) declares which
+ * buildinfo revision cache) declares which
  * capability guards which member, and a Clang build with
  * -DCHASON_THREAD_SAFETY=ON (-Wthread-safety
  * -Werror=thread-safety-analysis) refuses to compile an access that

@@ -31,6 +31,7 @@ BatchEngine::~BatchEngine() = default;
 std::size_t
 BatchEngine::submit(BatchJob job)
 {
+    chason_assert(job.matrix != nullptr, "batch job without a matrix");
     std::size_t index;
     {
         common::MutexLock lock(mutex_);
@@ -65,13 +66,15 @@ BatchEngine::runJob(std::size_t index)
     }
     trace::HostSpan span("job:" + job->dataset);
 
+    const sparse::CsrMatrix &a = *job->matrix;
     const Engine engine(job->kind, job->config);
     Rng rng(job->xSeed);
-    const std::vector<float> x =
-        sparse::randomVector(job->matrix.cols(), rng);
-    const auto schedule = this->schedule(engine, job->matrix);
-    SpmvReport report = engine.runScheduled(
-        *schedule, job->matrix, x, job->dataset, job->yOut.get());
+    const std::vector<float> x = sparse::randomVector(a.cols(), rng);
+    const auto entry = lookup(engine.scheduler(), a,
+                              engine.config().capacityRowsPerLane());
+    SpmvReport report =
+        engine.runScheduled(entry->schedule, entry->stats, a, x,
+                            job->dataset, job->yOut.get());
 
     common::MutexLock lock(mutex_);
     Slot &slot = slots_.at(index);
@@ -154,9 +157,8 @@ BatchEngine::parallelFor(std::size_t n,
 std::shared_ptr<const sched::Schedule>
 BatchEngine::schedule(const Engine &engine, const sparse::CsrMatrix &a)
 {
-    auto schedule = cache_.get(engine, a);
-    maybeVerify(schedule, a, engine.config().capacityRowsPerLane());
-    return schedule;
+    return schedule(engine.scheduler(), a,
+                    engine.config().capacityRowsPerLane());
 }
 
 std::shared_ptr<const sched::Schedule>
@@ -164,25 +166,34 @@ BatchEngine::schedule(const sched::Scheduler &scheduler,
                       const sparse::CsrMatrix &a,
                       std::uint32_t capacityRowsPerLane)
 {
-    auto schedule = cache_.get(scheduler, a);
-    maybeVerify(schedule, a, capacityRowsPerLane);
-    return schedule;
+    auto entry = lookup(scheduler, a, capacityRowsPerLane);
+    return {entry, &entry->schedule};
+}
+
+std::shared_ptr<const CachedSchedule>
+BatchEngine::lookup(const sched::Scheduler &scheduler,
+                    const sparse::CsrMatrix &a,
+                    std::uint32_t capacityRowsPerLane)
+{
+    auto entry = cache_.lookup(scheduler, a);
+    maybeVerify(entry, a, capacityRowsPerLane);
+    return entry;
 }
 
 void
-BatchEngine::maybeVerify(
-    const std::shared_ptr<const sched::Schedule> &schedule,
-    const sparse::CsrMatrix &a, std::uint32_t capacityRowsPerLane)
+BatchEngine::maybeVerify(const std::shared_ptr<const CachedSchedule> &entry,
+                         const sparse::CsrMatrix &a,
+                         std::uint32_t capacityRowsPerLane)
 {
     if (!verifySchedules_)
         return;
     {
         common::MutexLock lock(verifiedMutex_);
-        auto it = verified_.find(schedule.get());
+        auto it = verified_.find(entry.get());
         if (it != verified_.end()) {
             // Same live instance: already verified. An expired entry
             // means the address was recycled by the cache — re-verify.
-            if (it->second.lock() == schedule)
+            if (it->second.lock() == entry)
                 return;
             verified_.erase(it);
         }
@@ -192,15 +203,15 @@ BatchEngine::maybeVerify(
     options.matrix = &a;
     options.capacityRowsPerLane = capacityRowsPerLane;
     const verify::VerifyResult result =
-        verify::verifySchedule(*schedule, options);
+        verify::verifySchedule(entry->schedule, options);
     if (!result.clean()) {
         chason_fatal("schedule verification failed (%s, %zu errors): %s",
-                     schedule->scheduler.c_str(), result.errors,
+                     entry->schedule.scheduler.c_str(), result.errors,
                      verify::toString(*result.firstError()).c_str());
     }
 
     common::MutexLock lock(verifiedMutex_);
-    verified_.emplace(schedule.get(), schedule);
+    verified_.emplace(entry.get(), entry);
 }
 
 SpmvReport
@@ -208,8 +219,10 @@ BatchEngine::run(const Engine &engine, const sparse::CsrMatrix &a,
                  const std::vector<float> &x, const std::string &dataset,
                  std::vector<float> *y_out, const arch::SpmvParams &params)
 {
-    const auto schedule = this->schedule(engine, a);
-    return engine.runScheduled(*schedule, a, x, dataset, y_out, params);
+    const auto entry = lookup(engine.scheduler(), a,
+                              engine.config().capacityRowsPerLane());
+    return engine.runScheduled(entry->schedule, entry->stats, a, x, dataset,
+                               y_out, params);
 }
 
 Comparison

@@ -19,8 +19,9 @@
  *
  * Batch callers retire everything at once with drain(); streaming
  * callers (the chason_serve daemon) retire per job with collect(),
- * which frees the job's matrix and report immediately so steady-state
- * memory is bounded by the in-flight window, not the submit count.
+ * which drops the job's matrix reference and frees its report
+ * immediately so steady-state memory is bounded by the in-flight
+ * window, not the submit count.
  *
  * Thread safety: submit(), collect(), drain(), schedule(), run(),
  * compare() and parallelFor() may be called from any thread. The
@@ -90,7 +91,12 @@ struct BatchOptions
 struct BatchJob
 {
     std::string dataset;     ///< label copied into the report
-    sparse::CsrMatrix matrix;
+    /**
+     * The matrix, shared with the caller: submitting a job copies no
+     * matrix, and the job's reference is released when it retires.
+     * Must not be null.
+     */
+    std::shared_ptr<const sparse::CsrMatrix> matrix;
     Engine::Kind kind = Engine::Kind::Chason;
     arch::ArchConfig config = {};
 
@@ -147,8 +153,8 @@ class BatchEngine
 
     /**
      * Streaming retirement: block until job @p index has finished,
-     * return its report, and release the job's slot — the submitted
-     * matrix and the report buffer are freed immediately, so a
+     * return its report, and release the job's slot — its matrix
+     * reference and the report buffer are dropped immediately, so a
      * long-running caller (the serving daemon) stays at O(in-flight)
      * memory instead of accumulating every job until drain().
      * @p index must name a job submitted since the last drain() and
@@ -208,12 +214,18 @@ class BatchEngine
   private:
     void runJob(std::size_t index) EXCLUDES(mutex_);
 
+    /** Cache-backed, verified entry: schedule plus its statistics. */
+    std::shared_ptr<const CachedSchedule>
+    lookup(const sched::Scheduler &scheduler, const sparse::CsrMatrix &a,
+           std::uint32_t capacityRowsPerLane);
+
     /**
-     * Statically verify @p schedule against @p a unless this cached
-     * instance was already verified; fatal() on any error-severity
-     * diagnostic. No-op when BatchOptions::verifySchedules is off.
+     * Statically verify @p entry's schedule against @p a unless this
+     * cached instance was already verified; fatal() on any
+     * error-severity diagnostic. No-op when
+     * BatchOptions::verifySchedules is off.
      */
-    void maybeVerify(const std::shared_ptr<const sched::Schedule> &schedule,
+    void maybeVerify(const std::shared_ptr<const CachedSchedule> &entry,
                      const sparse::CsrMatrix &a,
                      std::uint32_t capacityRowsPerLane)
         EXCLUDES(verifiedMutex_);
@@ -222,10 +234,10 @@ class BatchEngine
     trace::TraceSink *traceSink_;
     ScheduleCache cache_;
     common::Mutex verifiedMutex_;
-    // Schedules already verified, keyed by instance; weak_ptr detects
+    // Entries already verified, keyed by instance; weak_ptr detects
     // an evicted-and-reallocated address so it is re-verified.
-    std::unordered_map<const sched::Schedule *,
-                       std::weak_ptr<const sched::Schedule>>
+    std::unordered_map<const CachedSchedule *,
+                       std::weak_ptr<const CachedSchedule>>
         verified_ GUARDED_BY(verifiedMutex_);
     /** One in-flight job: input, result and completion flag. */
     struct Slot

@@ -58,14 +58,25 @@ Engine::runScheduled(const sched::Schedule &schedule,
                      std::vector<float> *y_out,
                      const arch::SpmvParams &params) const
 {
-    std::optional<arch::RunResult> run_result;
+    return runScheduled(schedule, sched::analyze(schedule), a, x, dataset,
+                        y_out, params);
+}
+
+SpmvReport
+Engine::runScheduled(const sched::Schedule &schedule,
+                     const sched::ScheduleStats &stats,
+                     const sparse::CsrMatrix &a,
+                     const std::vector<float> &x,
+                     const std::string &dataset,
+                     std::vector<float> *y_out,
+                     const arch::SpmvParams &params) const
+{
+    arch::RunResult run;
     {
         trace::HostSpan span("simulate:" + accel_->name() +
                              (dataset.empty() ? "" : ":" + dataset));
-        run_result = accel_->run(schedule, x, params);
+        run = accel_->run(schedule, x, params);
     }
-    const arch::RunResult &run = *run_result;
-    const sched::ScheduleStats stats = sched::analyze(schedule);
 
     SpmvReport report;
     report.accelerator = accel_->name();
@@ -110,7 +121,7 @@ Engine::runScheduled(const sched::Schedule &schedule,
     report.functionalError = sparse::maxRelativeError(run.y, reference);
 
     if (y_out)
-        *y_out = run.y;
+        *y_out = std::move(run.y);
     return report;
 }
 

@@ -109,8 +109,24 @@ class Engine
                    std::vector<float> *y_out = nullptr,
                    const arch::SpmvParams &params = {}) const;
 
-    /** Run a pre-built schedule (skips re-scheduling). */
+    /**
+     * Run a pre-built schedule (skips re-scheduling); analyzes it for
+     * the report's statistics and calls the overload below.
+     */
     SpmvReport runScheduled(const sched::Schedule &schedule,
+                            const sparse::CsrMatrix &a,
+                            const std::vector<float> &x,
+                            const std::string &dataset = "",
+                            std::vector<float> *y_out = nullptr,
+                            const arch::SpmvParams &params = {}) const;
+
+    /**
+     * Run a pre-built schedule whose sched::analyze() statistics are
+     * @p stats, so a cached schedule is not re-analyzed per request.
+     * Every report is built here.
+     */
+    SpmvReport runScheduled(const sched::Schedule &schedule,
+                            const sched::ScheduleStats &stats,
                             const sparse::CsrMatrix &a,
                             const std::vector<float> &x,
                             const std::string &dataset = "",

@@ -7,64 +7,49 @@
 
 #include <filesystem>
 
-#include "common/bitfield.h"
+#include "common/hash.h"
 #include "common/logging.h"
 #include "trace/trace.h"
 
 namespace chason {
 namespace core {
 
-namespace {
-
-constexpr std::uint64_t kFnvOffsetA = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvOffsetB = 0x84222325cbf29ce4ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-inline void
-mix(std::uint64_t &h, std::uint64_t value)
-{
-    for (int byte = 0; byte < 8; ++byte) {
-        h ^= (value >> (byte * 8)) & 0xff;
-        h *= kFnvPrime;
-    }
-}
-
-} // namespace
-
 MatrixFingerprint
 fingerprint(const sparse::CsrMatrix &a)
 {
-    MatrixFingerprint fp{kFnvOffsetA, kFnvOffsetB};
-    mix(fp.lo, a.rows());
-    mix(fp.hi, a.cols());
-    mix(fp.lo, a.nnz());
-    mix(fp.hi, a.nnz() * 0x9e3779b97f4a7c15ull);
-    for (std::size_t i = 0; i <= a.rows(); ++i)
-        mix(fp.lo, a.rowPtr()[i]);
-    for (std::size_t i = 0; i < a.nnz(); ++i) {
-        mix(fp.lo, a.colIdx()[i]);
-        mix(fp.hi,
-            (static_cast<std::uint64_t>(a.colIdx()[i]) << 32) |
-                floatToBits(a.values()[i]));
-    }
-    return fp;
+    // The shape plus one bulk digest per CSR array: a change confined
+    // to one array (a nonzero moved to the next row touches only
+    // rowPtr) changes that array's digest.
+    const auto digest = [](const auto &array) {
+        return common::artifactHash(array.data(),
+                                    array.size() * sizeof(array[0]));
+    };
+    const std::uint64_t words[] = {
+        a.rows(),           a.cols(),           a.nnz(),
+        digest(a.rowPtr()), digest(a.colIdx()), digest(a.values()),
+    };
+    constexpr std::uint64_t kSecondOffset = 0x84222325cbf29ce4ull;
+    return {common::fnv1a(words, sizeof(words)),
+            common::fnv1a(words, sizeof(words), kSecondOffset)};
 }
 
 ScheduleKey
 scheduleKey(const sched::Scheduler &scheduler, const sparse::CsrMatrix &a)
 {
-    std::uint64_t h = kFnvOffsetA;
-    for (const char c : scheduler.name())
-        mix(h, static_cast<unsigned char>(c));
     const sched::SchedConfig &cfg = scheduler.config();
-    mix(h, cfg.channels);
-    mix(h, static_cast<std::uint64_t>(cfg.precision));
-    mix(h, cfg.pesOverride);
-    mix(h, cfg.rawDistance);
-    mix(h, cfg.windowCols);
-    mix(h, cfg.rowsPerLanePerPass);
-    mix(h, cfg.migrationDepth);
-    return ScheduleKey{fingerprint(a), h};
+    const std::uint64_t fields[] = {
+        cfg.channels,
+        static_cast<std::uint64_t>(cfg.precision),
+        cfg.pesOverride,
+        cfg.rawDistance,
+        cfg.windowCols,
+        cfg.rowsPerLanePerPass,
+        cfg.migrationDepth,
+    };
+    return ScheduleKey{
+        fingerprint(a),
+        common::fnv1a(fields, sizeof(fields),
+                      common::fnv1a(scheduler.name()))};
 }
 
 sched::ArtifactKey
@@ -128,16 +113,23 @@ ScheduleCache::setArtifactDir(const std::string &dir)
     artifactDir_ = dir;
 }
 
-std::shared_ptr<const sched::Schedule>
-ScheduleCache::get(const sched::Scheduler &scheduler,
-                   const sparse::CsrMatrix &a)
+std::size_t
+CachedSchedule::memoryBytes() const
+{
+    return schedule.memoryBytes() + sizeof(stats) +
+        stats.perPegUnderutilization.capacity() * sizeof(double);
+}
+
+std::shared_ptr<const CachedSchedule>
+ScheduleCache::lookup(const sched::Scheduler &scheduler,
+                      const sparse::CsrMatrix &a)
 {
     const ScheduleKey key = scheduleKey(scheduler, a);
     trace::TraceSink *sink = trace::activeSink();
 
-    std::promise<SchedulePtr> promise;
+    std::promise<EntryPtr> promise;
     bool hit = false;
-    std::shared_future<SchedulePtr> hit_future;
+    std::shared_future<EntryPtr> hit_future;
     {
         common::MutexLock lock(mutex_);
         const auto it = entries_.find(key);
@@ -181,24 +173,20 @@ ScheduleCache::get(const sched::Scheduler &scheduler,
         : artifactDir_ + "/" + sched::artifactFileName(artifactKey(key));
     bool disk_hit = false;
     bool disk_rejected = false;
-    SchedulePtr schedule;
+    std::optional<sched::Schedule> schedule;
     if (!artifact_path.empty()) {
         std::error_code ec;
         if (std::filesystem::exists(artifact_path, ec) && !ec) {
             std::string why;
-            std::optional<sched::Schedule> loaded =
-                loadArtifact(artifact_path, key, why);
-            if (loaded) {
-                schedule = std::make_shared<const sched::Schedule>(
-                    std::move(*loaded));
-            } else {
+            schedule = loadArtifact(artifact_path, key, why);
+            if (!schedule) {
                 disk_rejected = true;
                 warn("schedule cache: rejecting artifact '%s': %s; "
                      "rescheduling",
                      artifact_path.c_str(), why.c_str());
             }
         }
-        disk_hit = schedule != nullptr;
+        disk_hit = schedule.has_value();
         if (sink) {
             sink->addCounter(disk_hit ? "schedule_cache.disk_hit"
                                       : "schedule_cache.disk_miss");
@@ -212,10 +200,14 @@ ScheduleCache::get(const sched::Scheduler &scheduler,
     // whole point of running jobs concurrently.
     if (!disk_hit) {
         trace::HostSpan span("schedule:" + scheduler.name());
-        schedule = std::make_shared<const sched::Schedule>(
-            scheduler.schedule(a));
+        schedule = scheduler.schedule(a);
     }
-    const std::size_t bytes = schedule->memoryBytes();
+    // The statistics depend only on the schedule: every request that
+    // hits this entry shares them.
+    sched::ScheduleStats stats = sched::analyze(*schedule);
+    const EntryPtr entry = std::make_shared<const CachedSchedule>(
+        CachedSchedule{std::move(*schedule), std::move(stats)});
+    const std::size_t bytes = entry->memoryBytes();
 
     {
         common::MutexLock lock(mutex_);
@@ -240,7 +232,7 @@ ScheduleCache::get(const sched::Scheduler &scheduler,
         }
         debugCheckConsistencyLocked();
     }
-    promise.set_value(schedule);
+    promise.set_value(entry);
 
     // Write-behind persistence: waiters are already unblocked; losing
     // the write costs a future reschedule, never a wrong result. A
@@ -248,7 +240,7 @@ ScheduleCache::get(const sched::Scheduler &scheduler,
     // store in place.
     if (!artifact_path.empty() && !disk_hit) {
         sched::ArtifactError error;
-        if (sched::writeArtifactFile(*schedule, artifactKey(key),
+        if (sched::writeArtifactFile(entry->schedule, artifactKey(key),
                                      artifact_path, &error)) {
             {
                 common::MutexLock lock(mutex_);
@@ -266,7 +258,7 @@ ScheduleCache::get(const sched::Scheduler &scheduler,
                  error.detail.c_str());
         }
     }
-    return schedule;
+    return entry;
 }
 
 void

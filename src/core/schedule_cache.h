@@ -38,7 +38,10 @@
 namespace chason {
 namespace core {
 
-/** 128-bit matrix fingerprint (two independent FNV-1a streams). */
+/**
+ * 128-bit matrix fingerprint: two FNV-1a words over the shape and the
+ * bulk digests (common::artifactHash) of rowPtr, colIdx and values.
+ */
 struct MatrixFingerprint
 {
     std::uint64_t lo = 0;
@@ -83,6 +86,20 @@ sched::ArtifactKey artifactKey(const ScheduleKey &key);
 std::optional<sched::Schedule> loadArtifact(const std::string &path,
                                             const ScheduleKey &key,
                                             std::string &why);
+
+/**
+ * What a cache entry holds: the schedule and its sched::analyze()
+ * statistics, computed once when the entry is filled and shared by
+ * every request that hits it.
+ */
+struct CachedSchedule
+{
+    sched::Schedule schedule;
+    sched::ScheduleStats stats;
+
+    /** Resident bytes: the schedule's plus the statistics'. */
+    std::size_t memoryBytes() const;
+};
 
 /** Counter snapshot; taken atomically with respect to cache updates. */
 struct ScheduleCacheStats
@@ -142,13 +159,23 @@ class ScheduleCache
     const std::string &artifactDir() const { return artifactDir_; }
 
     /**
-     * The schedule @p scheduler produces for @p a: resident if the key
-     * matches, freshly scheduled (and cached) otherwise. Blocks only
-     * when another thread is already scheduling the same key.
+     * The entry for @p scheduler applied to @p a: resident if the key
+     * matches, otherwise loaded from the disk tier or freshly
+     * scheduled, analyzed and cached. Blocks only when another thread
+     * is already filling the same key.
      */
+    std::shared_ptr<const CachedSchedule>
+    lookup(const sched::Scheduler &scheduler, const sparse::CsrMatrix &a)
+        EXCLUDES(mutex_);
+
+    /** The schedule of lookup()'s entry; it keeps the entry alive. */
     std::shared_ptr<const sched::Schedule>
     get(const sched::Scheduler &scheduler, const sparse::CsrMatrix &a)
-        EXCLUDES(mutex_);
+        EXCLUDES(mutex_)
+    {
+        auto entry = lookup(scheduler, a);
+        return {entry, &entry->schedule};
+    }
 
     /** Convenience overload: @p engine's scheduler fills misses. */
     std::shared_ptr<const sched::Schedule>
@@ -186,12 +213,12 @@ class ScheduleCache
         }
     };
 
-    using SchedulePtr = std::shared_ptr<const sched::Schedule>;
+    using EntryPtr = std::shared_ptr<const CachedSchedule>;
 
     struct Entry
     {
         /** Set once by the filling thread; waited on by the others. */
-        std::shared_future<SchedulePtr> future;
+        std::shared_future<EntryPtr> future;
         std::size_t bytes = 0; ///< 0 while scheduling is in flight
         bool ready = false;
         std::list<ScheduleKey>::iterator lruIt;

@@ -1,6 +1,6 @@
 /**
  * @file
- * CHSA v1 artifact writer/reader implementation.
+ * CHSA artifact writer/reader implementation.
  */
 
 #include "sched/artifact.h"
@@ -11,6 +11,7 @@
 #include <cstring>
 #include <fstream>
 
+#include "common/hash.h"
 #include "common/logging.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -33,83 +34,6 @@ static_assert(std::endian::native == std::endian::little,
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-constexpr std::uint64_t kLaneSalt = 0x9e3779b97f4a7c15ull;
-
-inline std::uint64_t
-loadWord(const std::byte *p)
-{
-    std::uint64_t w;
-    std::memcpy(&w, p, sizeof(w));
-    return w;
-}
-
-/**
- * Digest of one chunk (any length <= kArtifactChunkBytes). Four
- * independent multiply-xor lanes walk 32-byte stripes so the loop
- * pipelines at memory bandwidth instead of serializing on one
- * multiply chain; byte-at-a-time FNV would make payload verification
- * the dominant warm-start cost.
- */
-std::uint64_t
-chunkHash(const std::byte *p, std::size_t n)
-{
-    std::uint64_t lane[4];
-    for (unsigned k = 0; k < 4; ++k)
-        lane[k] = kFnvOffset ^ (kLaneSalt * (k + 1));
-
-    std::size_t i = 0;
-    for (; i + 32 <= n; i += 32) {
-        lane[0] = (lane[0] ^ loadWord(p + i)) * kFnvPrime;
-        lane[1] = (lane[1] ^ loadWord(p + i + 8)) * kFnvPrime;
-        lane[2] = (lane[2] ^ loadWord(p + i + 16)) * kFnvPrime;
-        lane[3] = (lane[3] ^ loadWord(p + i + 24)) * kFnvPrime;
-    }
-    unsigned k = 0;
-    for (; i + 8 <= n; i += 8) {
-        lane[k] = (lane[k] ^ loadWord(p + i)) * kFnvPrime;
-        k = (k + 1) & 3;
-    }
-    if (i < n) {
-        std::uint64_t w = 0;
-        std::memcpy(&w, p + i, n - i);
-        lane[k] = (lane[k] ^ w) * kFnvPrime;
-    }
-
-    std::uint64_t h = kFnvOffset ^ n;
-    for (unsigned j = 0; j < 4; ++j) {
-        h = (h ^ lane[j]) * kFnvPrime;
-        h ^= h >> 29;
-    }
-    h *= kLaneSalt;
-    h ^= h >> 32;
-    return h;
-}
-
-/** Fold state for combining chunk digests in payload order. */
-struct ChunkFold
-{
-    std::uint64_t h = kFnvOffset;
-    std::uint64_t total = 0;
-
-    void
-    add(std::uint64_t chunk_digest, std::size_t chunk_bytes)
-    {
-        h = (h ^ chunk_digest) * kFnvPrime;
-        h ^= h >> 31;
-        total += chunk_bytes;
-    }
-
-    std::uint64_t
-    finish() const
-    {
-        std::uint64_t out = (h ^ total) * kFnvPrime;
-        out ^= out >> 32;
-        return out;
-    }
-};
-
 /**
  * Streaming hasher for the writer: buffers bytes into whole chunks so
  * scattered per-channel beat streams produce the identical digest the
@@ -123,22 +47,20 @@ class StreamHasher
     {
         const std::byte *p = static_cast<const std::byte *>(data);
         while (n > 0) {
-            if (buf_.empty() && n >= kArtifactChunkBytes) {
+            if (buf_.empty() && n >= kChunk) {
                 // Fast path: a whole chunk straight from the source.
-                fold_.add(chunkHash(p, kArtifactChunkBytes),
-                          kArtifactChunkBytes);
-                p += kArtifactChunkBytes;
-                n -= kArtifactChunkBytes;
+                fold_.add(common::chunkHash(p, kChunk), kChunk);
+                p += kChunk;
+                n -= kChunk;
                 continue;
             }
-            const std::size_t want = kArtifactChunkBytes - buf_.size();
+            const std::size_t want = kChunk - buf_.size();
             const std::size_t take = n < want ? n : want;
             buf_.insert(buf_.end(), p, p + take);
             p += take;
             n -= take;
-            if (buf_.size() == kArtifactChunkBytes) {
-                fold_.add(chunkHash(buf_.data(), buf_.size()),
-                          buf_.size());
+            if (buf_.size() == kChunk) {
+                fold_.add(common::chunkHash(buf_.data(), kChunk), kChunk);
                 buf_.clear();
             }
         }
@@ -148,15 +70,18 @@ class StreamHasher
     finish()
     {
         if (!buf_.empty()) {
-            fold_.add(chunkHash(buf_.data(), buf_.size()), buf_.size());
+            fold_.add(common::chunkHash(buf_.data(), buf_.size()),
+                      buf_.size());
             buf_.clear();
         }
         return fold_.finish();
     }
 
   private:
+    static constexpr std::size_t kChunk = common::kHashChunkBytes;
+
     std::vector<std::byte> buf_;
-    ChunkFold fold_;
+    common::ChunkFold fold_;
 };
 
 bool
@@ -170,20 +95,6 @@ fail(ArtifactError *error, ArtifactStatus status, std::string detail)
 }
 
 } // namespace
-
-std::uint64_t
-artifactHash(const void *data, std::size_t bytes)
-{
-    const std::byte *p = static_cast<const std::byte *>(data);
-    ChunkFold fold;
-    for (std::size_t off = 0; off < bytes; off += kArtifactChunkBytes) {
-        const std::size_t n = bytes - off < kArtifactChunkBytes
-            ? bytes - off
-            : kArtifactChunkBytes;
-        fold.add(chunkHash(p + off, n), n);
-    }
-    return fold.finish();
-}
 
 std::string
 artifactFileName(const ArtifactKey &key)
@@ -296,7 +207,7 @@ writeArtifactFile(const Schedule &schedule, const ArtifactKey &key,
     ArtifactSectionEntry sections[3];
     sections[0] = {static_cast<std::uint32_t>(ArtifactSection::kMeta), 0,
                    meta_off, sizeof(ArtifactMeta),
-                   artifactHash(&meta, sizeof(meta))};
+                   common::artifactHash(&meta, sizeof(meta))};
     StreamHasher phase_hash;
     phase_hash.update(phases.data(),
                       phases.size() * sizeof(ArtifactPhase));
@@ -315,7 +226,7 @@ writeArtifactFile(const Schedule &schedule, const ArtifactKey &key,
                    payload_off, payload_bytes, payload_hash.finish()};
 
     header.headerChecksum = 0;
-    header.headerChecksum = artifactHash(&header, sizeof(header));
+    header.headerChecksum = common::artifactHash(&header, sizeof(header));
 
     // Temp file + rename: concurrent writers of the same key race to an
     // identical result, and a crash never leaves a torn file behind.
@@ -464,7 +375,7 @@ ArtifactReader::open(const std::string &path, ArtifactError *error)
         header.sectionEntryBytes != sizeof(ArtifactSectionEntry) ||
         header.sectionCount != 3) {
         fail(error, ArtifactStatus::kBadStructure,
-             "header geometry does not match CHSA v1");
+             "header geometry does not match CHSA");
         return reader;
     }
     if (size < header.fileBytes) {
@@ -480,7 +391,7 @@ ArtifactReader::open(const std::string &path, ArtifactError *error)
     }
     ArtifactHeader unsummed = header;
     unsummed.headerChecksum = 0;
-    if (artifactHash(&unsummed, sizeof(unsummed)) !=
+    if (common::artifactHash(&unsummed, sizeof(unsummed)) !=
         header.headerChecksum) {
         fail(error, ArtifactStatus::kBadChecksum,
              "header checksum mismatch");
@@ -532,7 +443,7 @@ ArtifactReader::open(const std::string &path, ArtifactError *error)
              "meta section has the wrong size or alignment");
         return reader;
     }
-    if (artifactHash(base + meta_sec->offset, meta_sec->bytes) !=
+    if (common::artifactHash(base + meta_sec->offset, meta_sec->bytes) !=
         meta_sec->checksum) {
         fail(error, ArtifactStatus::kBadChecksum,
              "meta section checksum mismatch");
@@ -569,7 +480,7 @@ ArtifactReader::open(const std::string &path, ArtifactError *error)
              "phase section size disagrees with the meta counts");
         return reader;
     }
-    if (artifactHash(base + phase_sec->offset, phase_sec->bytes) !=
+    if (common::artifactHash(base + phase_sec->offset, phase_sec->bytes) !=
         phase_sec->checksum) {
         fail(error, ArtifactStatus::kBadChecksum,
              "phase section checksum mismatch");
@@ -657,7 +568,7 @@ ArtifactReader::payloadIntact(ArtifactError *error) const
     // file; the hash sweep below walks all of it)
     chason_assert(ok(), "payloadIntact() on a failed reader");
     if (payloadVerdict_ == 0) {
-        const std::uint64_t digest = artifactHash(
+        const std::uint64_t digest = common::artifactHash(
             reinterpret_cast<const std::byte *>(payload_),
             static_cast<std::size_t>(info_.payloadBytes));
         payloadVerdict_ = digest == payloadChecksum_ ? 1 : 2;

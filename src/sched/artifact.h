@@ -1,6 +1,6 @@
 /**
  * @file
- * CHSA v1: the versioned on-disk schedule artifact.
+ * CHSA: the versioned on-disk schedule artifact.
  *
  * CrHCS is one-shot offline preprocessing amortized over millions of
  * SpMV launches, so a cold process should never pay the scheduling
@@ -29,8 +29,9 @@
  *                                  every (phase, channel) beat stream
  *                                  in phase-major order
  *
- * Every section carries a checksum over its bytes: artifactHash(), a
- * 4-lane FNV-style multiply-xor digest folded over fixed 4 MiB chunks.
+ * Every section carries a checksum over its bytes: common::artifactHash
+ * (common/hash.h), a 4-lane FNV-style multiply-xor digest folded over
+ * fixed 4 MiB chunks.
  * The chunking lets the writer stream the payload through a fixed
  * buffer and still produce the digest the reader computes over the
  * contiguous mapping.
@@ -60,16 +61,18 @@ namespace sched {
 /** "CHSA-ART" as a little-endian u64. */
 inline constexpr std::uint64_t kArtifactMagic = 0x5452'412d'4153'4843ull;
 
-/** Current (and only) format version. */
-inline constexpr std::uint32_t kArtifactVersion = 1;
-
-/** Fixed checksum chunk size; part of the format, not a tunable. */
-inline constexpr std::size_t kArtifactChunkBytes = std::size_t{4} << 20;
+/**
+ * Current (and only) format version. Version 2 keeps version 1's
+ * layout; it marks the change of the key's matrix fingerprint to the
+ * bulk digest (core::fingerprint), so a version-1 file, whose key no
+ * reader can reproduce, is rejected as bad-version.
+ */
+inline constexpr std::uint32_t kArtifactVersion = 2;
 
 /** Alignment of the beat payload section. */
 inline constexpr std::size_t kArtifactPayloadAlign = 64;
 
-/** Section kinds of the v1 section table. */
+/** Section kinds of the section table. */
 enum class ArtifactSection : std::uint32_t
 {
     kMeta = 1,   ///< ArtifactMeta
@@ -91,7 +94,7 @@ struct ArtifactHeader
     std::uint32_t sectionEntryBytes = 0; ///< sizeof(ArtifactSectionEntry)
     std::uint64_t headerChecksum = 0; ///< artifactHash, this field zeroed
 };
-static_assert(sizeof(ArtifactHeader) == 64, "CHSA v1 header is 64 bytes");
+static_assert(sizeof(ArtifactHeader) == 64, "CHSA header is 64 bytes");
 
 /** One section-table entry. */
 struct ArtifactSectionEntry
@@ -103,7 +106,7 @@ struct ArtifactSectionEntry
     std::uint64_t checksum = 0; ///< artifactHash over the section bytes
 };
 static_assert(sizeof(ArtifactSectionEntry) == 32,
-              "CHSA v1 section entries are 32 bytes");
+              "CHSA section entries are 32 bytes");
 
 /** Shape + config metadata (the meta section). */
 struct ArtifactMeta
@@ -123,7 +126,7 @@ struct ArtifactMeta
     std::uint32_t reserved = 0;
     char schedulerName[64] = {};
 };
-static_assert(sizeof(ArtifactMeta) == 120, "CHSA v1 meta is 120 bytes");
+static_assert(sizeof(ArtifactMeta) == 120, "CHSA meta is 120 bytes");
 
 /** One phase record of the phase section. */
 struct ArtifactPhase
@@ -133,7 +136,7 @@ struct ArtifactPhase
     std::uint64_t alignedBeats = 0;
 };
 static_assert(sizeof(ArtifactPhase) == 16,
-              "CHSA v1 phase records are 16 bytes");
+              "CHSA phase records are 16 bytes");
 
 /**
  * The cache identity an artifact is stored under: matrix fingerprint
@@ -175,14 +178,6 @@ struct ArtifactError
     std::string detail;
 };
 
-/**
- * The 4-lane multiply-xor digest every CHSA checksum uses, folded over
- * kArtifactChunkBytes chunks. Deterministic for a given byte string;
- * the chunk folding lets verifiers hash chunks on several threads and
- * combine without changing the digest.
- */
-std::uint64_t artifactHash(const void *data, std::size_t bytes);
-
 /** Everything open() learns without touching the payload. */
 struct ArtifactInfo
 {
@@ -199,7 +194,7 @@ struct ArtifactInfo
 };
 
 /**
- * Write @p schedule as a CHSA v1 artifact at @p path (temp file +
+ * Write @p schedule as a CHSA artifact at @p path (temp file +
  * atomic rename). Returns false (with @p error filled) on an I/O
  * failure; never panics on one. Works for every schedule, including
  * migrationDepth > 1 (unlike the wire encoding).

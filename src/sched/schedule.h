@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "common/arena.h"
-#include "common/pagepool.h"
 #include "sched/config.h"
 #include "sched/element.h"
 #include "sparse/formats.h"
@@ -62,9 +61,9 @@ struct Beat
 // mapping, so the in-memory layout IS the on-disk layout. These pins
 // turn a layout drift into a compile error instead of a silently
 // incompatible artifact.
-static_assert(sizeof(Slot) == 16, "Slot layout is pinned by CHSA v1");
+static_assert(sizeof(Slot) == 16, "Slot layout is pinned by CHSA");
 static_assert(sizeof(Beat) == 16 * kMaxPesPerGroup,
-              "Beat layout is pinned by CHSA v1");
+              "Beat layout is pinned by CHSA");
 static_assert(std::is_trivially_copyable_v<Beat>,
               "beats are serialized as raw bytes");
 
@@ -78,31 +77,24 @@ namespace detail {
  * through read-for-ownership right before the copy overwrites it.
  * Restricted to the trivially copyable Beat, whose bytes carry no
  * invariants; every argumented insertion (copy, fill, assign)
- * constructs normally.
- *
- * Storage comes from common::PagePool: beat buffers are the bulk of a
- * schedule's footprint and dominate the process's page-fault bill, so
- * recycling them across phases and schedule() calls keeps the
- * placement write path on warm pages.
+ * constructs normally. Storage is std::allocator's: a block a schedule
+ * frees goes straight back to malloc.
  */
 template <class T>
-struct NoInitAlloc
+struct NoInitAlloc : std::allocator<T>
 {
-    using value_type = T;
+    // Explicit, so a library whose std::allocator still declares
+    // rebind cannot rebind this to a plain, initializing allocator.
+    template <class U>
+    struct rebind
+    {
+        using other = NoInitAlloc<U>;
+    };
 
     NoInitAlloc() = default;
     template <class U>
     NoInitAlloc(const NoInitAlloc<U> &) noexcept
     {
-    }
-
-    T *allocate(std::size_t n)
-    {
-        return static_cast<T *>(common::pagePoolAlloc(n * sizeof(T)));
-    }
-    void deallocate(T *p, std::size_t n)
-    {
-        common::pagePoolFree(p, n * sizeof(T));
     }
 
     template <class U>
@@ -113,17 +105,6 @@ struct NoInitAlloc
     void construct(U *p, Args &&...args)
     {
         ::new (static_cast<void *>(p)) U(std::forward<Args>(args)...);
-    }
-
-    template <class U>
-    bool operator==(const NoInitAlloc<U> &) const noexcept
-    {
-        return true;
-    }
-    template <class U>
-    bool operator!=(const NoInitAlloc<U> &) const noexcept
-    {
-        return false;
     }
 };
 

@@ -305,7 +305,7 @@ Daemon::handleLine(Connection &conn, const std::string &line)
 
     core::BatchJob job;
     job.dataset = request.matrixKey();
-    job.matrix = *matrix;
+    job.matrix = matrix;
     job.kind = request.kind;
     request.applyConfig(job.config);
     job.xSeed = request.xSeed;
@@ -320,15 +320,19 @@ Daemon::handleLine(Connection &conn, const std::string &line)
 }
 
 std::shared_ptr<const sparse::CsrMatrix>
+Daemon::cachedMatrix(const std::string &key) const
+{
+    common::MutexLock lock(matrixMutex_);
+    const auto it = matrices_.find(key);
+    return it == matrices_.end() ? nullptr : it->second;
+}
+
+std::shared_ptr<const sparse::CsrMatrix>
 Daemon::materialize(const Request &request, std::string &error)
 {
     const std::string key = request.matrixKey();
-    {
-        common::MutexLock lock(matrixMutex_);
-        auto it = matrices_.find(key);
-        if (it != matrices_.end())
-            return it->second;
-    }
+    if (auto resident = cachedMatrix(key))
+        return resident;
 
     // Build outside the lock: generation is the expensive part and
     // must not serialize unrelated connections. Two readers racing the

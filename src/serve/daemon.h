@@ -117,6 +117,13 @@ class Daemon
     const DaemonOptions &options() const { return options_; }
     core::BatchEngine &engine() { return engine_; }
 
+    /**
+     * The resident matrix for @p key (Request::matrixKey()), or null:
+     * the object every job on that key runs on.
+     */
+    std::shared_ptr<const sparse::CsrMatrix>
+    cachedMatrix(const std::string &key) const EXCLUDES(matrixMutex_);
+
   private:
     struct Connection;
 
@@ -178,7 +185,7 @@ class Daemon
         connections_ GUARDED_BY(connectionsMutex_);
 
     /** Bounded materialized-matrix cache shared by all readers. */
-    common::Mutex matrixMutex_;
+    mutable common::Mutex matrixMutex_;
     std::unordered_map<std::string,
                        std::shared_ptr<const sparse::CsrMatrix>>
         matrices_ GUARDED_BY(matrixMutex_);

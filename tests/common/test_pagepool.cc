@@ -1,84 +1,83 @@
 /**
  * @file
- * PagePool unit tests: recycling, accounting, trim and the cap.
+ * Schedule storage that a thread frees goes back to malloc: nothing in
+ * the tree keeps freed blocks per thread. A schedule built and dropped
+ * on a worker thread must leave malloc's in-use byte count where it
+ * was, while that thread is still alive.
  *
- * The pool is thread-local and tuned by environment variables read at
- * first use, so these tests only assert behavior that holds under
- * every configuration — including the sanitizer builds where pooling
- * is disabled and every call falls through to malloc/free.
+ * The binary keeps its historical ctest name, test_pagepool, from the
+ * thread-local recycling pool whose absence it now checks.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-#include <vector>
+#include <cstddef>
+#include <thread>
 
-#include "common/pagepool.h"
+#include "common/rng.h"
+#include "sched/crhcs.h"
+#include "sparse/generators.h"
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
+// ASan defines __SANITIZE_ADDRESS__ under GCC; clang exposes it via
+// __has_feature. Sanitizer runtimes replace malloc, so mallinfo2 does
+// not describe their heap.
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define CHASON_TEST_SANITIZED 1
+#endif
+#endif
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define CHASON_TEST_SANITIZED 1
+#endif
 
 namespace chason {
-namespace common {
 namespace {
 
-TEST(PagePool, AllocatesUsableMemoryAcrossSizes)
+#if defined(__GLIBC__) && !defined(CHASON_TEST_SANITIZED)
+/** Bytes malloc has handed out and not had back, over all arenas. */
+std::size_t
+mallocInUseBytes()
 {
-    for (const std::size_t bytes :
-         {std::size_t{1}, std::size_t{64}, std::size_t{1} << 12,
-          std::size_t{1} << 16, (std::size_t{1} << 20) + 3}) {
-        void *p = pagePoolAlloc(bytes);
-        ASSERT_NE(p, nullptr);
-        // Touch every page: the block must be real, writable memory.
-        std::memset(p, 0xAB, bytes);
-        pagePoolFree(p, bytes);
-    }
+    const struct mallinfo2 info = mallinfo2();
+    return info.uordblks + info.hblkhd;
 }
+#endif
 
-TEST(PagePool, RecyclesLargeBlocksWhenPoolingIsOn)
+TEST(ScheduleStorage, FreedOnAWorkerThreadReturnsToMalloc)
 {
-    pagePoolTrim(); // leftovers from other tests would skew held bytes
-    constexpr std::size_t kBytes = std::size_t{1} << 16;
-    void *first = pagePoolAlloc(kBytes);
-    ASSERT_NE(first, nullptr);
-    pagePoolFree(first, kBytes);
-    if (pagePoolHeldBytes() == 0) {
-        // Pooling disabled (sanitizer build or CHASON_POOL_MB=0):
-        // recycling is intentionally off, nothing further to assert.
-        return;
-    }
-    // Same size class must hand the retained block straight back.
-    void *second = pagePoolAlloc(kBytes);
-    EXPECT_EQ(second, first);
-    EXPECT_EQ(pagePoolHeldBytes(), 0u);
-    pagePoolFree(second, kBytes);
-    pagePoolTrim();
-}
+#if !defined(__GLIBC__) || defined(CHASON_TEST_SANITIZED)
+    GTEST_SKIP() << "needs glibc's mallinfo2 and no sanitizer runtime";
+#else
+    Rng rng(11);
+    const sparse::CsrMatrix a = sparse::rmat(14, std::size_t{1} << 17, rng);
+    const sched::CrhcsScheduler scheduler(sched::SchedConfig{});
 
-TEST(PagePool, HeldBytesTracksFreesAndTrimReleasesAll)
-{
-    pagePoolTrim();
-    std::vector<void *> blocks;
-    constexpr std::size_t kBytes = std::size_t{1} << 14;
-    for (int i = 0; i < 4; ++i)
-        blocks.push_back(pagePoolAlloc(kBytes));
-    EXPECT_EQ(pagePoolHeldBytes(), 0u); // live blocks are not "held"
-    for (void *p : blocks)
-        pagePoolFree(p, kBytes);
-    // Either pooling is off (0 held) or all four round-up classes are.
-    const std::size_t held = pagePoolHeldBytes();
-    if (held != 0)
-        EXPECT_EQ(held, 4 * kBytes);
-    pagePoolTrim();
-    EXPECT_EQ(pagePoolHeldBytes(), 0u);
-}
+    std::size_t before = 0;
+    std::size_t built = 0;
+    std::size_t after = 0;
+    std::thread worker([&] {
+        before = mallocInUseBytes();
+        {
+            const sched::Schedule schedule = scheduler.schedule(a);
+            built = mallocInUseBytes();
+        }
+        after = mallocInUseBytes();
+    });
+    worker.join();
 
-TEST(PagePool, SubPageAllocationsBypassTheFreelists)
-{
-    pagePoolTrim();
-    void *p = pagePoolAlloc(256); // below the 4 KiB pooling floor
-    ASSERT_NE(p, nullptr);
-    pagePoolFree(p, 256);
-    EXPECT_EQ(pagePoolHeldBytes(), 0u);
+    constexpr std::size_t kMiB = std::size_t{1} << 20;
+    // The schedule is large enough for retention to show ...
+    ASSERT_GT(built, before + 4 * kMiB);
+    // ... and the worker, still alive when it measured, kept none of it.
+    EXPECT_LT(after, before + kMiB)
+        << "in use: " << before << " B before the build, " << built
+        << " B with the schedule, " << after << " B after dropping it";
+#endif
 }
 
 } // namespace
-} // namespace common
 } // namespace chason

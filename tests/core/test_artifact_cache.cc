@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "core/report_json.h"
 #include "sched/artifact.h"
@@ -276,7 +277,7 @@ TEST(ArtifactCache, MultiChunkDiskHitStartsNoThread)
         const sched::ArtifactReader reader = sched::ArtifactReader::open(
             storedPath(dir, engine, a), &error);
         ASSERT_TRUE(reader.ok()) << error.detail;
-        ASSERT_GT(reader.info().payloadBytes, sched::kArtifactChunkBytes);
+        ASSERT_GT(reader.info().payloadBytes, common::kHashChunkBytes);
     }
 
     // The counter sees std::thread, or this test would prove nothing.

@@ -70,7 +70,7 @@ job(std::uint64_t matrixSeed, Engine::Kind kind, const std::string &tag)
 {
     BatchJob j;
     j.dataset = tag;
-    j.matrix = matrix(matrixSeed);
+    j.matrix = std::make_shared<const sparse::CsrMatrix>(matrix(matrixSeed));
     j.kind = kind;
     j.config = smallConfig();
     j.xSeed = 0xABC0 + matrixSeed;
@@ -171,9 +171,9 @@ TEST(BatchEngine, ResultsBitIdenticalToSerialEngine)
         const Engine engine(jobs[i].kind, jobs[i].config);
         Rng rng(jobs[i].xSeed);
         const std::vector<float> x =
-            sparse::randomVector(jobs[i].matrix.cols(), rng);
+            sparse::randomVector(jobs[i].matrix->cols(), rng);
         expectIdentical(report.reports[i],
-                        engine.run(jobs[i].matrix, x, jobs[i].dataset));
+                        engine.run(*jobs[i].matrix, x, jobs[i].dataset));
     }
 }
 
@@ -200,6 +200,67 @@ TEST(BatchEngine, SameSeedSameJobsAnyWorkerCount)
     // The cache sees the same key set either way.
     EXPECT_EQ(serial.cache.hits, parallel.cache.hits);
     EXPECT_EQ(serial.cache.misses, parallel.cache.misses);
+}
+
+TEST(BatchEngine, JobsShareTheCallersMatrix)
+{
+    BatchOptions options;
+    options.workers = 2;
+    BatchEngine batch(options);
+    const auto a = std::make_shared<const sparse::CsrMatrix>(matrix(4));
+    ASSERT_EQ(a.use_count(), 1);
+
+    std::vector<std::size_t> indices;
+    for (int copy = 0; copy < 2; ++copy) {
+        BatchJob j = job(4, Engine::Kind::Chason, "shared");
+        j.matrix = a;
+        indices.push_back(batch.submit(std::move(j)));
+    }
+    // Each queued job holds the caller's matrix: none was copied.
+    EXPECT_EQ(a.use_count(), 3);
+    batch.collect(indices[0]);
+    EXPECT_EQ(a.use_count(), 2);
+    batch.collect(indices[1]);
+    EXPECT_EQ(a.use_count(), 1);
+}
+
+TEST(BatchEngine, SharedMatrixReportsBitIdenticalAnyWorkerCount)
+{
+    const auto a = std::make_shared<const sparse::CsrMatrix>(matrix(5));
+    auto runBatch = [&a](unsigned workers) {
+        BatchOptions options;
+        options.workers = workers;
+        BatchEngine batch(options);
+        for (std::uint64_t i = 0; i < 8; ++i) {
+            BatchJob j = job(5,
+                             i % 2 == 0 ? Engine::Kind::Chason
+                                        : Engine::Kind::Serpens,
+                             "shared" + std::to_string(i));
+            j.matrix = a;
+            j.xSeed = 0x5A5A + i;
+            batch.submit(std::move(j));
+        }
+        return batch.drain();
+    };
+
+    const BatchReport serial = runBatch(1);
+    for (const unsigned workers : {2u, 4u}) {
+        const BatchReport parallel = runBatch(workers);
+        ASSERT_EQ(serial.reports.size(), parallel.reports.size());
+        for (std::size_t i = 0; i < serial.reports.size(); ++i)
+            expectIdentical(serial.reports[i], parallel.reports[i]);
+    }
+    // And each matches a one-off Engine::run, which analyzes per call.
+    for (std::uint64_t i = 0; i < serial.reports.size(); ++i) {
+        const Engine engine(i % 2 == 0 ? Engine::Kind::Chason
+                                       : Engine::Kind::Serpens,
+                            smallConfig());
+        Rng rng(0x5A5A + i);
+        const std::vector<float> x = sparse::randomVector(a->cols(), rng);
+        expectIdentical(serial.reports[i],
+                        engine.run(*a, x, "shared" + std::to_string(i)));
+    }
+    EXPECT_EQ(a.use_count(), 1);
 }
 
 TEST(BatchEngine, DuplicateJobsHitTheSharedCache)
@@ -294,7 +355,7 @@ TEST(BatchEngine, SteadyStateMemoryIsBoundedOver10kSubmits)
     BatchEngine engine(options);
 
     // Tiny jobs; the point is slot accounting, not simulation work.
-    const sparse::CsrMatrix a = matrix(7);
+    const auto a = std::make_shared<const sparse::CsrMatrix>(matrix(7));
     constexpr std::size_t kSubmits = 10000;
     constexpr std::size_t kWindow = 16;
     std::size_t maxPending = 0;

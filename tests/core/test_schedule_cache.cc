@@ -6,6 +6,8 @@
 
 #include "core/schedule_cache.h"
 
+#include <bit>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -59,6 +61,54 @@ TEST(Fingerprint, DeterministicAndSensitive)
                  fingerprint(coo3.toCsr()));
 }
 
+/** Fingerprint of a @p rows x @p cols CSR matrix built from @p entries. */
+MatrixFingerprint
+fingerprintOf(std::uint32_t rows, std::uint32_t cols,
+              const std::vector<sparse::Triplet> &entries)
+{
+    return fingerprint(sparse::CsrMatrix(rows, cols, entries));
+}
+
+TEST(Fingerprint, EachCsrArrayAndTheShapeAreKeyed)
+{
+    const std::vector<sparse::Triplet> base = {
+        {0, 1, 1.0f}, {1, 2, 2.0f}, {1, 3, 3.0f}};
+    const MatrixFingerprint fp = fingerprintOf(4, 4, base);
+
+    // One bit of one value (values only).
+    std::vector<sparse::Triplet> flipped = base;
+    flipped[1].value =
+        std::bit_cast<float>(std::bit_cast<std::uint32_t>(2.0f) ^ 1u);
+    EXPECT_FALSE(fingerprintOf(4, 4, flipped) == fp);
+
+    // +0 and -0 compare equal as floats but are different matrices.
+    std::vector<sparse::Triplet> zero = base;
+    zero[1].value = 0.0f;
+    std::vector<sparse::Triplet> negZero = base;
+    negZero[1].value = -0.0f;
+    EXPECT_FALSE(fingerprintOf(4, 4, zero) == fingerprintOf(4, 4, negZero));
+
+    // The last nonzero moves to the next row: colIdx and values stay
+    // [1, 2, 3] and [1, 2, 3], only rowPtr changes.
+    std::vector<sparse::Triplet> moved = base;
+    moved[2].row = 2;
+    EXPECT_FALSE(fingerprintOf(4, 4, moved) == fp);
+
+    // Two column indices swapped (colIdx only): rows 0 and 1 hold one
+    // equal value each.
+    EXPECT_FALSE(fingerprintOf(4, 4, {{0, 1, 1.0f}, {1, 2, 1.0f}}) ==
+                 fingerprintOf(4, 4, {{0, 2, 1.0f}, {1, 1, 1.0f}}));
+
+    // The same three arrays under a wider shape.
+    EXPECT_FALSE(fingerprintOf(4, 5, base) == fp);
+    EXPECT_FALSE(fingerprintOf(5, 4, base) == fp);
+
+    // A copy is the same matrix.
+    const sparse::CsrMatrix a = matrix(1);
+    const sparse::CsrMatrix copy = a;
+    EXPECT_EQ(fingerprint(copy), fingerprint(a));
+}
+
 TEST(ScheduleKeyTest, SchedulerIdentityAndConfigAreKeyed)
 {
     const sparse::CsrMatrix a = matrix(1);
@@ -91,13 +141,14 @@ TEST(ScheduleCache, HitsAfterFirstMiss)
     ScheduleCache cache;
     const sparse::CsrMatrix a = matrix(3);
 
-    const auto first = cache.get(engine, a);
+    const auto first = cache.lookup(engine.scheduler(), a);
     EXPECT_EQ(cache.stats().misses, 1u);
     EXPECT_EQ(cache.stats().hits, 0u);
     const auto second = cache.get(engine, a);
     EXPECT_EQ(cache.stats().hits, 1u);
-    EXPECT_EQ(first.get(), second.get()); // same resident object
-    EXPECT_GT(cache.stats().bytes, 0u);
+    EXPECT_EQ(&first->schedule, second.get()); // same resident object
+    // The entry's bytes cover its statistics as well as its schedule.
+    EXPECT_GT(first->memoryBytes(), first->schedule.memoryBytes());
     EXPECT_EQ(cache.stats().bytes, first->memoryBytes());
 }
 
@@ -128,10 +179,11 @@ TEST(ScheduleCache, EvictsLeastRecentlyUsedOverByteBudget)
     // Budget of exactly one schedule: inserting the second must evict
     // the least recently used first, whatever b's exact size.
     ScheduleCache probe;
-    const std::size_t one = probe.get(engine, a)->memoryBytes();
+    const std::size_t one =
+        probe.lookup(engine.scheduler(), a)->memoryBytes();
 
     ScheduleCache cache(one);
-    const auto sa = cache.get(engine, a);
+    const auto sa = cache.lookup(engine.scheduler(), a);
     cache.get(engine, b); // over budget: evicts a
     EXPECT_EQ(cache.stats().evictions, 1u);
     EXPECT_EQ(cache.stats().entries, 1u);
@@ -167,11 +219,11 @@ TEST(ScheduleCache, ByteAccountingSurvivesOversizedInserts)
     const sparse::CsrMatrix a = matrix(20);
     const sparse::CsrMatrix b = matrix(21);
 
-    const auto sa = cache.get(engine, a);
+    const auto sa = cache.lookup(engine.scheduler(), a);
     EXPECT_EQ(cache.stats().bytes, sa->memoryBytes());
     EXPECT_TRUE(cache.debugCheckConsistency());
 
-    const auto sb = cache.get(engine, b); // evicts a, admits b
+    const auto sb = cache.lookup(engine.scheduler(), b); // evicts a
     EXPECT_EQ(cache.stats().entries, 1u);
     EXPECT_EQ(cache.stats().bytes, sb->memoryBytes());
     EXPECT_TRUE(cache.debugCheckConsistency());
@@ -187,13 +239,14 @@ TEST(ScheduleCache, ReinsertAfterEvictionAccountsCurrentSize)
     const sparse::CsrMatrix b = matrix(23);
 
     ScheduleCache probe;
-    const std::size_t a_bytes = probe.get(engine, a)->memoryBytes();
+    const std::size_t a_bytes =
+        probe.lookup(engine.scheduler(), a)->memoryBytes();
 
     ScheduleCache cache(a_bytes);
     cache.get(engine, a);
     cache.get(engine, b); // evicts a
     EXPECT_TRUE(cache.debugCheckConsistency());
-    const auto again = cache.get(engine, a); // evicts b, re-admits a
+    const auto again = cache.lookup(engine.scheduler(), a); // evicts b
     EXPECT_EQ(cache.stats().bytes, again->memoryBytes());
     EXPECT_EQ(cache.stats().entries, 1u);
     EXPECT_TRUE(cache.debugCheckConsistency());

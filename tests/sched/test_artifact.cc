@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "sched/crhcs.h"
 #include "sched/pe_aware.h"
@@ -27,6 +28,9 @@
 namespace chason {
 namespace sched {
 namespace {
+
+using common::artifactHash;
+using common::kHashChunkBytes;
 
 Schedule
 sampleSchedule(std::uint64_t seed, bool migrated)
@@ -131,15 +135,15 @@ TEST(ArtifactHash, ChunkBoundarySizes)
 {
     // Sizes straddling the 4 MiB chunk fold: the digest must be
     // well-defined and distinct across one-byte differences in length.
-    std::vector<std::uint8_t> buf(kArtifactChunkBytes + 64);
+    std::vector<std::uint8_t> buf(kHashChunkBytes + 64);
     Rng rng(7);
     for (std::size_t i = 0; i < buf.size(); ++i)
         buf[i] = static_cast<std::uint8_t>(rng.next());
 
     std::uint64_t last = 0;
-    for (std::size_t n : {kArtifactChunkBytes - 1, kArtifactChunkBytes,
-                          kArtifactChunkBytes + 1,
-                          kArtifactChunkBytes + 64}) {
+    for (std::size_t n : {kHashChunkBytes - 1, kHashChunkBytes,
+                          kHashChunkBytes + 1,
+                          kHashChunkBytes + 64}) {
         const std::uint64_t h = artifactHash(buf.data(), n);
         EXPECT_NE(h, last);
         last = h;
@@ -265,7 +269,7 @@ TEST(ArtifactFile, PayloadDigestSpansChunks)
         EXPECT_EQ(error.status, ArtifactStatus::kBadChecksum);
         std::filesystem::remove(path);
     }
-    EXPECT_GT(largest, 2 * kArtifactChunkBytes);
+    EXPECT_GT(largest, 2 * kHashChunkBytes);
 }
 
 TEST(ArtifactReject, NotAnArtifact)
@@ -296,6 +300,31 @@ TEST(ArtifactReject, WrongVersion)
     const Schedule original = sampleSchedule(5, false);
     const std::string path = writeSample(original, "version");
     flipByte(path, 8); // ArtifactHeader::version (checked before digest)
+    ArtifactError error;
+    EXPECT_FALSE(ArtifactReader::open(path, &error).ok());
+    EXPECT_EQ(error.status, ArtifactStatus::kBadVersion);
+    std::filesystem::remove(path);
+}
+
+TEST(ArtifactReject, VersionOneIsBadVersion)
+{
+    // A version-1 file keys its schedule by the old byte-serial matrix
+    // fingerprint, which no reader computes any more. Patch a fresh
+    // file's header to version 1 and re-seal its checksum, so the
+    // version is the only thing wrong with it.
+    const Schedule original = sampleSchedule(5, false);
+    const std::string path = writeSample(original, "v1");
+    ArtifactHeader header;
+    {
+        std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+        f.read(reinterpret_cast<char *>(&header), sizeof(header));
+        ASSERT_EQ(header.version, 2u);
+        header.version = 1;
+        header.headerChecksum = 0;
+        header.headerChecksum = artifactHash(&header, sizeof(header));
+        f.seekp(0);
+        f.write(reinterpret_cast<const char *>(&header), sizeof(header));
+    }
     ArtifactError error;
     EXPECT_FALSE(ArtifactReader::open(path, &error).ok());
     EXPECT_EQ(error.status, ArtifactStatus::kBadVersion);

@@ -14,10 +14,13 @@
 
 #include "serve/daemon.h"
 
+#include <chrono>
 #include <cinttypes>
 #include <cstdio>
+#include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -122,6 +125,61 @@ TEST(ServeDaemon, ServedResultsAreBitIdenticalToDirectEngineRuns)
 
     // Streaming retirement: answered jobs are gone from the engine.
     EXPECT_EQ(daemon.engine().pendingJobs(), 0u);
+    ::close(fd);
+    daemon.shutdown();
+}
+
+TEST(ServeDaemon, JobsRunOnTheCachedMatrix)
+{
+    DaemonOptions options;
+    options.socketPath = socketPath("shared");
+    options.workers = 1;
+    Daemon daemon(options);
+    std::string error;
+    ASSERT_TRUE(daemon.start(&error)) << error;
+
+    const int fd = connectUnixSocket(options.socketPath, &error);
+    ASSERT_GE(fd, 0) << error;
+    LineReader reader(fd);
+
+    // The first request materializes the matrix into the daemon's cache.
+    const std::string first = rmatRequest(1, "t", 7, 1500, 11, 101);
+    ASSERT_TRUE(sendAll(fd, first));
+    EXPECT_TRUE(readResponse(reader).find("ok")->boolean);
+    Request request;
+    ASSERT_TRUE(parseRequest(first, request, error)) << error;
+    const std::weak_ptr<const sparse::CsrMatrix> cached =
+        daemon.cachedMatrix(request.matrixKey());
+    ASSERT_FALSE(cached.expired());
+    EXPECT_EQ(cached.use_count(), 1); // the cache's own reference
+
+    // Occupy the only worker, so the next job stays queued in its slot.
+    std::promise<void> started;
+    std::promise<void> release;
+    std::shared_future<void> gate = release.get_future().share();
+    daemon.engine().pool().post([&started, gate] {
+        started.set_value();
+        gate.wait();
+    });
+    started.get_future().wait();
+
+    ASSERT_TRUE(sendAll(fd, rmatRequest(2, "t", 7, 1500, 11, 102)));
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (daemon.engine().pendingJobs() == 0 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(daemon.engine().pendingJobs(), 1u);
+    // The queued job holds the cached object itself, not a copy.
+    EXPECT_EQ(cached.use_count(), 2);
+
+    release.set_value();
+    const JsonValue v = readResponse(reader);
+    std::string digest;
+    EXPECT_TRUE(v.getString("ydigest", digest));
+    EXPECT_EQ(digest, referenceDigest(7, 1500, 11, 102));
+    // Retired: the job's reference is gone, the cache's remains.
+    EXPECT_EQ(cached.use_count(), 1);
     ::close(fd);
     daemon.shutdown();
 }
