@@ -11,13 +11,14 @@ ctest --test-dir build 2>&1 | tee test_output.txt
 
 # Concurrency tests again under ThreadSanitizer (batch engine, schedule
 # cache, work-stealing thread pool, RNG streams, the SummaryStats lazy
-# sort cache, and the serving daemon's full thread architecture).
+# sort cache, the serving daemon's full thread architecture, and one
+# cached StreamPlan replayed by several workers at once).
 cmake -B build-tsan -G Ninja -DCHASON_TSAN=ON
 cmake --build build-tsan --target test_batch_engine test_schedule_cache \
     test_artifact_cache test_rng test_thread_pool test_stats \
-    test_serve_daemon
+    test_serve_daemon test_perf_determinism
 ctest --test-dir build-tsan \
-    -R 'test_(batch_engine|schedule_cache|artifact_cache|rng|thread_pool|stats|serve_daemon)' \
+    -R 'test_(batch_engine|schedule_cache|artifact_cache|rng|thread_pool|stats|serve_daemon|perf_determinism)' \
     --output-on-failure 2>&1 | tee -a test_output.txt
 
 # Memory-safety leg: the parsing/verification surface again under

@@ -60,7 +60,8 @@ deviceSpan(trace::TraceSink *sink, const char *name, trace::Category cat,
  * page-faults tens of MB of bank storage per run, which dominated
  * repeated-run simulation cost. Released sets keep their bank storage;
  * on reacquisition Peg::reset clears only the banks the previous run
- * actually wrote (AccumulatorBank tracks a dirty bit), so a pooled set
+ * actually wrote (AccumulatorBank tracks its sums and its RAW stamps
+ * apart, and a plan replay writes only sums), so a pooled set
  * is bit-identical to a freshly constructed one.
  */
 class PegSetPool
@@ -243,16 +244,6 @@ Accelerator::simulateStreaming(const sched::Schedule &schedule,
     std::int64_t beat_base = 0;
     bool first_phase = true;
 
-    // Depth of the URAM region a pass actually uses.
-    auto pass_depth = [&](std::uint32_t pass) {
-        const std::uint64_t pass_rows = std::min<std::uint64_t>(
-            sc.rowsPerPass(),
-            static_cast<std::uint64_t>(schedule.rows) -
-                static_cast<std::uint64_t>(pass) * sc.rowsPerPass());
-        return static_cast<std::uint32_t>(
-            (pass_rows + map.lanes() - 1) / map.lanes());
-    };
-
     // Merge partial sums of a finished pass into y and account the
     // Reduction Unit sweep. The two scratch vectors are hoisted out of
     // the per-(channel, PE) loop and the bank reads go through the raw
@@ -261,7 +252,7 @@ Accelerator::simulateStreaming(const sched::Schedule &schedule,
     std::vector<float> lane_sum;
     std::vector<float> reduced;
     auto finish_pass = [&](std::uint32_t pass) {
-        const std::uint32_t depth = pass_depth(pass);
+        const std::uint32_t depth = passDepth(schedule, pass);
         const std::uint32_t local_base = pass * sc.rowsPerLanePerPass;
 
         // Consolidated shared sums: [source channel][source PE] -> rows.
@@ -275,7 +266,9 @@ Accelerator::simulateStreaming(const sched::Schedule &schedule,
                     if (dest == s)
                         break;
                     reduced.resize(depth);
-                    pegs[dest].reduceSharedInto(off, k, reduced.data());
+                    if (!pegs[dest].reduceSharedInto(off, k,
+                                                     reduced.data()))
+                        continue; // all +0.0: adding them is exact
                     for (std::uint32_t a = 0; a < depth; ++a)
                         lane_sum[a] += reduced[a];
                 }
@@ -342,8 +335,7 @@ Accelerator::simulateStreaming(const sched::Schedule &schedule,
             if (current_pass >= 0)
                 finish_pass(static_cast<std::uint32_t>(current_pass));
             current_pass = phase.pass;
-            const std::uint32_t depth =
-                pass_depth(static_cast<std::uint32_t>(current_pass));
+            const std::uint32_t depth = passDepth(schedule, phase.pass);
             for (Peg &peg : pegs)
                 peg.reset(depth);
         }
@@ -377,18 +369,17 @@ Accelerator::simulateStreaming(const sched::Schedule &schedule,
         sim_now += exposed_x;
 
         // Matrix streaming: all channels in lockstep for alignedBeats.
-        // Without a plan each channel's beat list is walked and routed
-        // slot by slot; with one, the pre-routed lanes are replayed.
-        // Both make the same products and checked accumulations in the
-        // same per-bank order (see stream_soa.h).
+        // Without a plan each channel's beat list is walked, routed and
+        // checked slot by slot; with one, the plan's routed and checked
+        // slots are replayed. Both make the same products in the same
+        // per-bank order (see stream_soa.h).
         const SlotRouter router(sc, migration_depth, col_base, win_len);
         // chason-lint: begin-hot (per-channel streaming loop: the
         // simulator's steady-state path must not allocate)
         for (unsigned ch = 0; ch < sc.channels; ++ch) {
             const sched::ChannelWindowSchedule &cws = phase.channels[ch];
             if (plan) {
-                macPackedChannel(plan->channel(phase_idx, ch), pegs[ch],
-                                 xbuf, beat_base, sc);
+                plan->replay(phase_idx, ch, xbuf, pegs[ch]);
             } else {
                 streamChannel(cws, router, ch, xbuf, beat_base, sc,
                               pegs[ch]);

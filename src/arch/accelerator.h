@@ -114,8 +114,8 @@ class Accelerator
     virtual unsigned migrationDepth() const = 0;
 
     /**
-     * Run against a pre-routed StreamPlan (see arch/stream_soa.h).
-     * Bit-identical to run(); replays the plan's lanes instead of
+     * Run against a StreamPlan (see arch/stream_soa.h). Bit-identical
+     * to run(); replays the plan's routed and checked slots instead of
      * walking the beat lists, which pays off when the same schedule is
      * simulated repeatedly. The plan must have been built from this
      * exact schedule with this accelerator's migrationDepth().
@@ -138,10 +138,10 @@ class Accelerator
      * @param migration_depth shared banks instantiated per PE; 0 makes
      *        any migrated slot a hard error (the Serpens datapath).
      *        Reduction Unit sweeps are accounted when it is nonzero.
-     * @param plan            optional pre-routed lanes for this exact
-     *        (schedule, migration_depth) pair, replayed instead of
-     *        walking the beat lists (see arch/stream_soa.h). Results
-     *        are bit-identical with or without a plan.
+     * @param plan            optional plan of this exact (schedule,
+     *        migration_depth) pair, replayed instead of walking the
+     *        beat lists (see arch/stream_soa.h). Results are
+     *        bit-identical with or without a plan.
      */
     RunResult simulateStreaming(const sched::Schedule &schedule,
                                 const std::vector<float> &x,

@@ -5,17 +5,26 @@
 
 #include "arch/peg.h"
 
+#include <algorithm>
+
 namespace chason {
 namespace arch {
 
 void
 AccumulatorBank::reset(std::size_t depth)
 {
-    if (sums_.size() == depth && !dirty_)
-        return; // already sized and still in post-reset state
-    sums_.assign(depth, 0.0f);
-    lastWrite_.assign(depth, kNeverWritten);
+    if (sums_.size() != depth) {
+        sums_.assign(depth, 0.0f);
+        lastWrite_.assign(depth, kNeverWritten);
+    } else {
+        // Already sized: clear only what was written since the reset.
+        if (dirty_)
+            std::fill(sums_.begin(), sums_.end(), 0.0f);
+        if (stamped_)
+            std::fill(lastWrite_.begin(), lastWrite_.end(), kNeverWritten);
+    }
     dirty_ = false;
+    stamped_ = false;
 }
 
 float
@@ -86,39 +95,52 @@ Peg::pe(unsigned p) const
     return pes_[p];
 }
 
-void
+bool
 Peg::reduceSharedInto(unsigned distance, unsigned src_pe,
                       float *out) const
 {
     chason_assert(!pes_.empty(), "PEG without PEs");
-    const std::size_t depth = pes_.front().shared(distance, src_pe).depth();
-    const float *leaf[kMaxLeaves];
     const std::size_t n = pes_.size();
     chason_assert(n <= kMaxLeaves, "PEG with more than %zu PEs",
                   kMaxLeaves);
-    for (std::size_t i = 0; i < n; ++i)
-        leaf[i] = pes_[i].shared(distance, src_pe).data();
+    const float *leaf[kMaxLeaves];
+    bool written = false;
+    for (std::size_t i = 0; i < n; ++i) {
+        const AccumulatorBank &bank = pes_[i].shared(distance, src_pe);
+        leaf[i] = bank.data();
+        written = written || bank.dirty();
+    }
+    const std::size_t depth = pes_.front().shared(distance, src_pe).depth();
+    if (!written) {
+        std::fill(out, out + depth, 0.0f);
+        return false;
+    }
 
-    // Adder-tree order: pairwise over the eight ScUGs. Summation order
-    // matches a balanced tree, like the hardware — evaluated one
-    // address at a time, so nothing is allocated per sweep. An odd
-    // stage carries its last operand up unchanged, exactly as the
-    // staged formulation did.
-    for (std::uint32_t a = 0; a < depth; ++a) {
-        float v[kMaxLeaves];
+    // Adder-tree order: pairwise over the eight ScUGs, like the
+    // hardware. Each stage runs over a block of addresses at a time —
+    // the same additions per address as a one-address-at-a-time
+    // evaluation, but vectorizable — and nothing is allocated per
+    // sweep. An odd stage carries its last operand up unchanged.
+    constexpr std::size_t kBlock = 256;
+    float v[kMaxLeaves][kBlock];
+    for (std::size_t base = 0; base < depth; base += kBlock) {
+        const std::size_t len = std::min(kBlock, depth - base);
         for (std::size_t i = 0; i < n; ++i)
-            v[i] = leaf[i][a];
+            std::copy(leaf[i] + base, leaf[i] + base + len, v[i]);
         std::size_t m = n;
         while (m > 1) {
             const std::size_t half = m / 2;
-            for (std::size_t i = 0; i < half; ++i)
-                v[i] = v[2 * i] + v[2 * i + 1];
+            for (std::size_t i = 0; i < half; ++i) {
+                for (std::size_t a = 0; a < len; ++a)
+                    v[i][a] = v[2 * i][a] + v[2 * i + 1][a];
+            }
             if (m % 2 == 1)
-                v[half] = v[m - 1];
+                std::copy(v[m - 1], v[m - 1] + len, v[half]);
             m = half + (m % 2);
         }
-        out[a] = v[0];
+        std::copy(v[0], v[0] + len, out + base);
     }
+    return true;
 }
 
 } // namespace arch

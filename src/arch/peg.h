@@ -9,10 +9,11 @@
  * the paper's depth of 1). The Router steers each product to the right
  * bank using the (pvt, PE_src) tags.
  *
- * The model is functional plus checked: every accumulation verifies the
- * RAW distance on its physical bank, so a schedule that would corrupt
- * data on the real pipeline panics here instead of silently producing
- * wrong sums.
+ * The model is functional plus checked: every write is held to the RAW
+ * distance on its physical bank (per accumulation in a beat-list walk,
+ * once per slot when a StreamPlan is built), so a schedule that would
+ * corrupt data on the real pipeline panics here instead of silently
+ * producing wrong sums.
  */
 
 #ifndef CHASON_ARCH_PEG_H_
@@ -33,24 +34,26 @@ class AccumulatorBank
 {
   public:
     /**
-     * Clear sums and RAW history; size for @p depth rows. A no-op when
-     * the bank is already @p depth deep and has not been written since
-     * its last reset — most shared banks of a PEG set never receive a
-     * migrated product, and skipping their clears removes the bulk of
-     * the per-run reset traffic when PEG sets are reused across runs.
+     * Clear sums and RAW history; size for @p depth rows. Only what was
+     * written since the last reset is cleared when the bank is already
+     * @p depth deep — most shared banks of a PEG set never receive a
+     * migrated product, and a plan replay adds without stamping, so
+     * skipping those clears removes the bulk of the per-run reset
+     * traffic when PEG sets are reused across runs.
      */
     void reset(std::size_t depth);
 
     /**
-     * Accumulate @p product into address @p addr at stream beat @p beat.
-     * Panics if the previous write to @p addr was closer than
-     * @p raw_distance beats — the real pipeline would have read a stale
-     * partial sum. Defined inline: this is the innermost operation of
-     * the streaming simulation, executed once per non-zero.
+     * The RAW-distance rule, written once: record a write to @p addr
+     * at stream beat @p beat without adding anything. Panics if @p addr
+     * lies beyond the bank's depth, or if the previous write to @p addr
+     * was closer than @p raw_distance beats — the real pipeline would
+     * have read a stale partial sum. accumulate() applies it to every
+     * product of a beat-list walk; a StreamPlan applies it once per
+     * slot when it is built, and its replay then adds unchecked.
      */
     void
-    accumulate(std::uint32_t addr, float product, std::int64_t beat,
-               unsigned raw_distance)
+    stamp(std::uint32_t addr, std::int64_t beat, unsigned raw_distance)
     {
         chason_assert(addr < sums_.size(),
                       "bank address %u beyond depth %zu", addr,
@@ -65,8 +68,33 @@ class AccumulatorBank
             "RAW hazard at address %u: writes at beats %lld and %lld",
             addr, static_cast<long long>(lastWrite_[addr]),
             static_cast<long long>(beat));
-        sums_[addr] += product;
         lastWrite_[addr] = static_cast<std::int32_t>(beat);
+        stamped_ = true;
+    }
+
+    /**
+     * Accumulate @p product into address @p addr at stream beat @p beat
+     * through the RAW check (stamp()). Defined inline: this is the
+     * innermost operation of the streaming walk, executed once per
+     * non-zero.
+     */
+    void
+    accumulate(std::uint32_t addr, float product, std::int64_t beat,
+               unsigned raw_distance)
+    {
+        stamp(addr, beat, raw_distance);
+        sums_[addr] += product;
+        dirty_ = true;
+    }
+
+    /**
+     * Add @p product at @p addr with no check: only for slots whose
+     * address and RAW distance a StreamPlan build already stamped.
+     */
+    void
+    addUnchecked(std::uint32_t addr, float product)
+    {
+        sums_[addr] += product;
         dirty_ = true;
     }
 
@@ -76,7 +104,10 @@ class AccumulatorBank
     /** Raw partial-sum storage, indexed by bank address. */
     const float *data() const { return sums_.data(); }
 
-    /** True when the bank was written since its last reset. */
+    /**
+     * True when a sum was added since the last reset; a clean bank
+     * holds +0.0 at every address.
+     */
     bool dirty() const { return dirty_; }
 
   private:
@@ -90,7 +121,8 @@ class AccumulatorBank
 
     std::vector<float> sums_;
     std::vector<std::int32_t> lastWrite_;
-    bool dirty_ = false;
+    bool dirty_ = false;   ///< sums_ written since the last reset
+    bool stamped_ = false; ///< lastWrite_ written since the last reset
 };
 
 /** BRAM buffer holding the current window of the dense vector x. */
@@ -179,9 +211,12 @@ class Peg
      * for a given (distance, source PE) — the adder-tree sweep — and
      * write the consolidated per-row partial sums into @p out (bank
      * depth entries). The summation order is a balanced pairwise adder
-     * tree, evaluated one address at a time.
+     * tree at every address. Returns false when no PE's bank was
+     * written since its reset: every sum in @p out is then +0.0, which
+     * a caller may skip adding — a sum that starts at +0.0 is never
+     * -0.0, so adding +0.0 to it is an exact identity.
      */
-    void reduceSharedInto(unsigned distance, unsigned src_pe,
+    bool reduceSharedInto(unsigned distance, unsigned src_pe,
                           float *out) const;
 
   private:

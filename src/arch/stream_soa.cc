@@ -1,11 +1,12 @@
 /**
  * @file
- * Slot routing and the two streaming loops that apply it.
+ * Slot routing, the beat-list walk and the stream plan.
  */
 
 #include "arch/stream_soa.h"
 
 #include <algorithm>
+#include <limits>
 
 namespace chason {
 namespace arch {
@@ -64,79 +65,141 @@ streamChannel(const sched::ChannelWindowSchedule &cws,
     // chason-lint: end-hot
 }
 
-void
-packChannel(const sched::ChannelWindowSchedule &cws,
-            const SlotRouter &router, unsigned channel,
-            const sched::SchedConfig &config, PackedChannel &out)
+std::uint32_t
+passDepth(const sched::Schedule &schedule, std::uint32_t pass)
 {
-    const unsigned pes = config.pesPerGroup();
-    for (unsigned p = 0; p < pes; ++p)
-        out.lanes[p].clear();
-    for (std::size_t t = 0; t < cws.beats.size(); ++t) {
-        const sched::Beat &bt = cws.beats[t];
-        for (unsigned p = 0; p < pes; ++p) {
-            const sched::Slot &slot = bt.slots[p];
-            if (!slot.valid)
-                continue;
-            const SlotRoute r = router.route(slot, channel, p);
-            PackedLane &lane = out.lanes[p];
-            lane.value.push_back(slot.value);
-            lane.winCol.push_back(r.winCol);
-            lane.addr.push_back(r.addr);
-            lane.beat.push_back(static_cast<std::uint32_t>(t));
-            lane.bank.push_back(r.bank);
-        }
-    }
-}
-
-void
-macPackedChannel(const PackedChannel &packed, Peg &peg,
-                 const XWindowBuffer &x, std::int64_t beat_base,
-                 const sched::SchedConfig &config)
-{
-    const float *win = x.data();
-    const unsigned raw_distance = config.rawDistance;
-    // chason-lint: begin-hot (runPlanned replay: the packed-lane MAC
-    // loop is the hottest code in the simulator)
-    for (unsigned p = 0; p < peg.pes(); ++p) {
-        const PackedLane &lane = packed.lanes[p];
-        AccumulatorBank *banks = peg.pe(p).banks();
-        const std::size_t n = lane.value.size();
-        const float *value = lane.value.data();
-        const std::uint32_t *col = lane.winCol.data();
-        const std::uint32_t *addr = lane.addr.data();
-        const std::uint32_t *beat = lane.beat.data();
-        const std::uint8_t *bank = lane.bank.data();
-        for (std::size_t i = 0; i < n; ++i) {
-            const float product = value[i] * win[col[i]];
-            banks[bank[i]].accumulate(
-                addr[i], product,
-                beat_base + static_cast<std::int64_t>(beat[i]),
-                raw_distance);
-        }
-    }
-    // chason-lint: end-hot
+    const sched::SchedConfig &sc = schedule.config;
+    const std::uint64_t lanes = sched::LaneMap(sc).lanes();
+    const std::uint64_t pass_rows = std::min<std::uint64_t>(
+        sc.rowsPerPass(),
+        static_cast<std::uint64_t>(schedule.rows) -
+            static_cast<std::uint64_t>(pass) * sc.rowsPerPass());
+    return static_cast<std::uint32_t>((pass_rows + lanes - 1) / lanes);
 }
 
 StreamPlan::StreamPlan(const sched::Schedule &schedule,
                        unsigned migration_depth)
     : channels_(schedule.config.channels),
+      pes_(schedule.config.pesPerGroup()),
       migrationDepth_(migration_depth),
       phaseCount_(schedule.phases.size()), nnz_(schedule.nnz)
 {
+    static_assert(sizeof(PlannedSlot) == 12, "a planned slot is 12 bytes");
     const sched::SchedConfig &sc = schedule.config;
-    packed_.resize(phaseCount_ * channels_);
-    for (std::size_t ph = 0; ph < phaseCount_; ++ph) {
-        const sched::WindowSchedule &phase = schedule.phases[ph];
-        const std::uint32_t win_base = phase.window * sc.windowCols;
-        const std::uint32_t win_len = std::min<std::uint32_t>(
-            sc.windowCols, schedule.cols - win_base);
-        const SlotRouter router(sc, migration_depth, win_base, win_len);
-        for (unsigned ch = 0; ch < channels_; ++ch) {
-            packChannel(phase.channels[ch], router, ch, sc,
-                        packed_[ph * channels_ + ch]);
+    chason_assert(sc.rowsPerLanePerPass <= kAddrMask + 1,
+                  "%u rows per lane per pass overflow the plan's %u-bit "
+                  "bank address",
+                  sc.rowsPerLanePerPass, kAddrBits);
+    offsets_.reserve(channels_ * phaseCount_ * pes_ + 1);
+    arena_.reserve(schedule.nnz); // one valid slot per non-zero
+
+    // Channel by channel: one PEG's banks carry the RAW stamps, reset at
+    // every pass as a walk resets them, and the beat base advances per
+    // phase exactly as the walk's does, so every check sees the walk's
+    // beats.
+    Peg peg(sc, migration_depth);
+    AccumulatorBank *banks[sched::kMaxPesPerGroup];
+    PlannedSlot *out[sched::kMaxPesPerGroup];
+    std::size_t count[sched::kMaxPesPerGroup] = {};
+    for (unsigned ch = 0; ch < channels_; ++ch) {
+        std::int64_t beat_base = 0;
+        std::int64_t current_pass = -1;
+        for (std::size_t ph = 0; ph < phaseCount_; ++ph) {
+            const sched::WindowSchedule &phase = schedule.phases[ph];
+            if (static_cast<std::int64_t>(phase.pass) != current_pass) {
+                current_pass = phase.pass;
+                peg.reset(passDepth(schedule, phase.pass));
+            }
+            const sched::BeatList &list = phase.channels[ch].beats;
+            const sched::Beat *beats = list.data();
+
+            // Pass 1: count the valid slots of each PE's segment and
+            // grow the arena by exactly that much. The beat list is
+            // then cache-resident for the second pass.
+            std::fill(count, count + pes_, 0);
+            for (std::size_t t = 0; t < list.size(); ++t) {
+                for (unsigned p = 0; p < pes_; ++p)
+                    count[p] += beats[t].slots[p].valid ? 1 : 0;
+            }
+            const std::size_t first = offsets_.size();
+            std::size_t end = arena_.size();
+            for (unsigned p = 0; p < pes_; ++p) {
+                offsets_.push_back(static_cast<std::uint32_t>(end));
+                end += count[p];
+            }
+            chason_assert(end <= std::numeric_limits<std::uint32_t>::max(),
+                          "%zu slots overflow the plan's 32-bit offsets",
+                          end);
+            arena_.resize(end);
+            for (unsigned p = 0; p < pes_; ++p) {
+                banks[p] = peg.pe(p).banks();
+                out[p] = arena_.data() + offsets_[first + p];
+            }
+
+            // Pass 2: route, check and fill.
+            const std::uint32_t win_base = phase.window * sc.windowCols;
+            const std::uint32_t win_len = std::min<std::uint32_t>(
+                sc.windowCols, schedule.cols - win_base);
+            const SlotRouter router(sc, migration_depth, win_base,
+                                    win_len);
+            for (std::size_t t = 0; t < list.size(); ++t) {
+                for (unsigned p = 0; p < pes_; ++p) {
+                    const sched::Slot &slot = beats[t].slots[p];
+                    if (!slot.valid)
+                        continue;
+                    const SlotRoute r = router.route(slot, ch, p);
+                    banks[p][r.bank].stamp(
+                        r.addr, beat_base + static_cast<std::int64_t>(t),
+                        sc.rawDistance);
+                    *out[p]++ = {slot.value, r.winCol,
+                                 static_cast<std::uint32_t>(r.bank)
+                                         << kAddrBits |
+                                     r.addr};
+                }
+            }
+            beat_base += static_cast<std::int64_t>(phase.alignedBeats) +
+                sc.rawDistance;
         }
     }
+    offsets_.push_back(static_cast<std::uint32_t>(arena_.size()));
+    arena_.shrink_to_fit(); // a no-op unless nnz miscounted the slots
+}
+
+std::size_t
+StreamPlan::bytesFor(const sched::Schedule &schedule)
+{
+    const std::size_t segments = schedule.phases.size() *
+        schedule.config.channels * schedule.config.pesPerGroup();
+    return sizeof(PlannedSlot) * schedule.nnz +
+        sizeof(std::uint32_t) * (segments + 1);
+}
+
+std::size_t
+StreamPlan::memoryBytes() const
+{
+    return sizeof(PlannedSlot) * arena_.capacity() +
+        sizeof(std::uint32_t) * offsets_.capacity();
+}
+
+void
+StreamPlan::replay(std::size_t phase, unsigned ch, const XWindowBuffer &x,
+                   Peg &peg) const
+{
+    const float *win = x.data();
+    const std::uint32_t *offset =
+        offsets_.data() + (ch * phaseCount_ + phase) * pes_;
+    // chason-lint: begin-hot (runPlanned replay: one product and one
+    // unchecked add per non-zero, read linearly from the arena)
+    for (unsigned p = 0; p < pes_; ++p) {
+        AccumulatorBank *banks = peg.pe(p).banks();
+        const PlannedSlot *end = arena_.data() + offset[p + 1];
+        for (const PlannedSlot *s = arena_.data() + offset[p]; s != end;
+             ++s) {
+            banks[s->bankAddr >> kAddrBits].addUnchecked(
+                s->bankAddr & kAddrMask, s->value * win[s->winCol]);
+        }
+    }
+    // chason-lint: end-hot
 }
 
 bool
@@ -144,6 +207,7 @@ StreamPlan::matches(const sched::Schedule &schedule,
                     unsigned migration_depth) const
 {
     return channels_ == schedule.config.channels &&
+        pes_ == schedule.config.pesPerGroup() &&
         migrationDepth_ == migration_depth &&
         phaseCount_ == schedule.phases.size() && nnz_ == schedule.nnz;
 }

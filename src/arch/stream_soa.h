@@ -1,36 +1,42 @@
 /**
  * @file
  * The streaming phase of the cycle-level simulation: one slot-routing
- * rule and the two loops that apply it.
+ * rule, the walk that applies it per run, and the plan that applies it
+ * once per schedule.
  *
  * Each PE consumes one slot per beat. The slot's (pvt, PE_src) tags
  * route its product into URAM_pvt or a ScUG bank (Section 4.2); a
  * Serpens PE is the same datapath without ScUG banks (depth 0).
  * SlotRouter is that rule, written once, together with every model
  * check it implies (window bounds, lane ownership, migration reach).
+ * The RAW-distance rule and the bank-depth bound live in one place too,
+ * AccumulatorBank::stamp (arch/peg.h).
  *
- * Two loops apply it:
+ * Two ways to stream a schedule:
  *  - streamChannel walks one channel's beat list of one phase, routes
  *    each valid slot and accumulates value * x[col] into the selected
- *    bank. Accelerator::run takes this path; it stages nothing.
- *  - StreamPlan routes every slot of a schedule once into per-PE
- *    struct-of-arrays lanes, and macPackedChannel replays those lanes
- *    against x. The lanes depend only on the schedule, not on x, so a
- *    caller that streams one schedule many times (runPlanned) pays for
- *    the routing once.
+ *    bank through the RAW check. Accelerator::run takes this path; it
+ *    stages nothing, so a schedule streamed once pays nothing extra.
+ *  - StreamPlan runs every check once, when it is built: it routes each
+ *    valid slot, bounds its bank address and stamps it against the RAW
+ *    distance, then stores it as 12 bytes (value, window column and a
+ *    packed bank/address word) in one flat arena, segmented per
+ *    (channel, phase, PE). None of that depends on x. Its replay
+ *    (Accelerator::runPlanned) does products only: bank[addr] +=
+ *    value * x[col], read linearly. A core::CachedSchedule builds one
+ *    on its entry's second use, so every warm request replays.
  *
  * Bit-identity: a bank only ever receives products from its owning
- * (channel, PE) lane, and both loops keep beat order within a lane,
+ * (channel, PE) lane, and both paths keep beat order within a lane,
  * so every bank sees the same additions in the same order. Both round
  * the product to fp32 before the add; chason_arch builds with
  * -ffp-contract=off so the two steps are never fused into an FMA. The
- * cycle accounting does not depend on which loop ran.
+ * cycle accounting does not depend on which path ran.
  */
 
 #ifndef CHASON_ARCH_STREAM_SOA_H_
 #define CHASON_ARCH_STREAM_SOA_H_
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -124,52 +130,27 @@ void streamChannel(const sched::ChannelWindowSchedule &cws,
                    const XWindowBuffer &x, std::int64_t beat_base,
                    const sched::SchedConfig &config, Peg &peg);
 
-/** The routed valid slots one PE consumes in one phase, in beat order. */
-struct PackedLane
-{
-    std::vector<float> value;          ///< matrix values
-    std::vector<std::uint32_t> winCol; ///< window-local column
-    std::vector<std::uint32_t> addr;   ///< bank address
-    std::vector<std::uint32_t> beat;   ///< beat offset within phase
-    std::vector<std::uint8_t> bank;    ///< bank tag
-
-    void
-    clear()
-    {
-        value.clear();
-        winCol.clear();
-        addr.clear();
-        beat.clear();
-        bank.clear();
-    }
-};
-
-/** All PE lanes of one channel-phase. */
-struct PackedChannel
-{
-    std::array<PackedLane, sched::kMaxPesPerGroup> lanes;
-};
-
-/** Route one channel's beat list of one phase into per-PE lanes. */
-void packChannel(const sched::ChannelWindowSchedule &cws,
-                 const SlotRouter &router, unsigned channel,
-                 const sched::SchedConfig &config, PackedChannel &out);
-
 /**
- * Replay packed lanes against @p x into @p peg: the same products and
- * checked accumulations streamChannel makes, in the same per-bank
- * order.
+ * Depth of the URAM region pass @p pass of @p schedule uses: its rows
+ * divided over the lanes, rounded up. Every bank is reset to this depth
+ * when the pass begins.
  */
-void macPackedChannel(const PackedChannel &packed, Peg &peg,
-                      const XWindowBuffer &x, std::int64_t beat_base,
-                      const sched::SchedConfig &config);
+std::uint32_t passDepth(const sched::Schedule &schedule, std::uint32_t pass);
 
 /**
- * Every channel-phase of one schedule, packed once. Build a plan when
- * the same schedule is streamed more than once (repeated SpMV, DSE
- * sweeps, benchmarking); Accelerator::simulateStreaming then replays
- * the packed lanes instead of walking the beat lists. The plan is
- * immutable after construction and safe to share across threads.
+ * Every valid slot of one schedule, routed and checked once. Build a
+ * plan when the same schedule is streamed more than once (served
+ * requests, repeated SpMV, benchmarking); Accelerator::runPlanned then
+ * replays it instead of walking the beat lists. The plan is immutable
+ * after construction and safe to share across threads.
+ *
+ * Construction panics on every schedule a walk panics on, with the
+ * walk's message: a SlotRouter check, a bank address beyond the pass
+ * depth or a RAW hazard. The RAW stamps are kept for one PEG at a
+ * time, so the build works channel by channel, and makes two passes
+ * over each channel's beat list of a phase: the first counts each PE's
+ * valid slots and grows the arena by exactly that much, the second
+ * (reading the list from cache) routes, checks and fills.
  *
  * The plan captures schedule *content*; it must be built from the same
  * schedule object (or a bit-identical copy) and the same migration
@@ -180,24 +161,53 @@ class StreamPlan
   public:
     StreamPlan(const sched::Schedule &schedule, unsigned migration_depth);
 
+    /**
+     * Resident bytes of the plan of @p schedule, in closed form:
+     * 12 per non-zero plus 4 per (phase, channel, PE) segment offset
+     * and one end offset. Known before the plan is built.
+     */
+    static std::size_t bytesFor(const sched::Schedule &schedule);
+
+    /** Resident bytes of this plan; bytesFor() of its schedule. */
+    std::size_t memoryBytes() const;
+
     /** Cheap consistency check against a schedule / depth pair. */
     bool matches(const sched::Schedule &schedule,
                  unsigned migration_depth) const;
 
-    const PackedChannel &
-    channel(std::size_t phase, unsigned ch) const
-    {
-        return packed_[phase * channels_ + ch];
-    }
+    /**
+     * Replay channel @p ch of phase @p phase against the window loaded
+     * in @p x into @p peg: bank[addr] += value * x[col] for every slot,
+     * PE by PE in beat order. No check runs here; the build ran them.
+     */
+    void replay(std::size_t phase, unsigned ch, const XWindowBuffer &x,
+                Peg &peg) const;
 
     unsigned migrationDepth() const { return migrationDepth_; }
 
   private:
+    /** One routed valid slot: 12 bytes of the arena. */
+    struct PlannedSlot
+    {
+        float value;            ///< matrix value
+        std::uint32_t winCol;   ///< window-local column of x
+        std::uint32_t bankAddr; ///< bank tag << kAddrBits | address
+    };
+
+    static constexpr unsigned kAddrBits = 24;
+    static constexpr std::uint32_t kAddrMask = (1u << kAddrBits) - 1;
+
     unsigned channels_ = 0;
+    unsigned pes_ = 0;
     unsigned migrationDepth_ = 0;
     std::size_t phaseCount_ = 0;
     std::size_t nnz_ = 0;
-    std::vector<PackedChannel> packed_; ///< [phase * channels + ch]
+    /** Arena index of segment (channel, phase, PE) at
+     *  [(channel * phases + phase) * pes + PE]; one end entry. */
+    std::vector<std::uint32_t> offsets_;
+    /** Channel-major, as the build fills it; grown uninitialized. */
+    std::vector<PlannedSlot, sched::detail::NoInitAlloc<PlannedSlot>>
+        arena_;
 };
 
 /**

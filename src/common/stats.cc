@@ -146,6 +146,98 @@ SummaryStats::percentile(double p) const
     return v[idx] * (1.0 - frac) + v[idx + 1] * frac;
 }
 
+void
+LogHistogram::add(double sample)
+{
+    ++counts_[bucketOf(sample)];
+    min_ = count_ == 0 ? sample : std::min(min_, sample);
+    max_ = count_ == 0 ? sample : std::max(max_, sample);
+    ++count_;
+    sum_ += sample;
+}
+
+double
+LogHistogram::min() const
+{
+    chason_assert(!empty(), "min of empty histogram");
+    return min_;
+}
+
+double
+LogHistogram::max() const
+{
+    chason_assert(!empty(), "max of empty histogram");
+    return max_;
+}
+
+double
+LogHistogram::mean() const
+{
+    chason_assert(!empty(), "mean of empty histogram");
+    return sum_ / static_cast<double>(count_);
+}
+
+std::size_t
+LogHistogram::bucketOf(double sample)
+{
+    if (!(sample > 0.0))
+        return 0;
+    int exponent = 0;
+    const double mantissa = std::frexp(sample, &exponent); // [0.5, 1)
+    const int octave = exponent - kMinExponent;
+    if (octave < 0)
+        return 1;
+    if (octave >= kOctaves)
+        return kBuckets - 1;
+    const auto sub = static_cast<std::size_t>(
+        (mantissa - 0.5) * 2.0 * kSubBuckets);
+    return 1 + static_cast<std::size_t>(octave) * kSubBuckets +
+        std::min<std::size_t>(sub, kSubBuckets - 1);
+}
+
+double
+LogHistogram::midpointOf(std::size_t bucket)
+{
+    if (bucket == 0)
+        return 0.0;
+    const std::size_t octave = (bucket - 1) / kSubBuckets;
+    const std::size_t sub = (bucket - 1) % kSubBuckets;
+    const double mantissa =
+        0.5 + (static_cast<double>(sub) + 0.5) / (2.0 * kSubBuckets);
+    return std::ldexp(mantissa,
+                      static_cast<int>(octave) + kMinExponent);
+}
+
+double
+LogHistogram::valueAtRank(std::uint64_t rank) const
+{
+    if (rank == 0)
+        return min_;
+    if (rank + 1 == count_)
+        return max_;
+    std::uint64_t seen = 0;
+    for (std::size_t b = 0; b < kBuckets; ++b) {
+        seen += counts_[b];
+        if (rank < seen)
+            return midpointOf(b);
+    }
+    return max_;
+}
+
+double
+LogHistogram::percentile(double p) const
+{
+    chason_assert(!empty(), "percentile of empty histogram");
+    chason_assert(p >= 0.0 && p <= 100.0, "percentile out of range");
+    const double pos = p / 100.0 * static_cast<double>(count_ - 1);
+    const auto idx = static_cast<std::uint64_t>(pos);
+    const double frac = pos - static_cast<double>(idx);
+    double value = valueAtRank(idx);
+    if (idx + 1 < count_)
+        value = value * (1.0 - frac) + valueAtRank(idx + 1) * frac;
+    return std::clamp(value, min_, max_);
+}
+
 Histogram::Histogram(double lo, double hi, std::size_t bins)
     : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
       counts_(bins, 0)

@@ -10,7 +10,9 @@
 #ifndef CHASON_COMMON_STATS_H_
 #define CHASON_COMMON_STATS_H_
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/thread_annotations.h"
@@ -116,6 +118,61 @@ class Histogram
     double width_;
     std::vector<std::size_t> counts_;
     std::size_t total_ = 0;
+};
+
+/**
+ * Log-bucketed histogram of non-negative samples in fixed memory, for
+ * statistics a long-running process keeps forever (the serving
+ * daemon's latency). count, sum, mean, min and max are exact. Each
+ * power-of-two octave in [2^-32, 2^32) is split into kSubBuckets linear
+ * buckets, so a bucket's midpoint is within 1/(2 kSubBuckets) (0.8 %)
+ * of any sample in it; percentile() interpolates between midpoints the
+ * way SummaryStats::percentile() interpolates between samples, so it
+ * stays within that bound of the exact sorted percentile for samples in
+ * range, and it is clamped to [min, max] (p0 and p100 are min and
+ * max). Samples outside the range land in the first or last bucket;
+ * zero and negative samples in a bucket of their own that reads 0.
+ *
+ * add() is a mutation and needs external synchronization, like any
+ * container; reads cost the same whatever the sample count.
+ */
+class LogHistogram
+{
+  public:
+    void add(double sample);
+
+    std::uint64_t count() const { return count_; }
+    bool empty() const { return count_ == 0; }
+    double sum() const { return sum_; }
+    double min() const;
+    double max() const;
+    double mean() const;
+
+    /** Interpolated percentile over bucket midpoints; p in [0, 100]. */
+    double percentile(double p) const;
+
+  private:
+    static constexpr int kMinExponent = -31; ///< frexp exponent of 2^-32
+    static constexpr int kOctaves = 64;
+    static constexpr unsigned kSubBuckets = 64;
+    /** Bucket 0 holds samples <= 0; then octave-major, sub-minor. */
+    static constexpr std::size_t kBuckets =
+        1 + static_cast<std::size_t>(kOctaves) * kSubBuckets;
+
+    static std::size_t bucketOf(double sample);
+    static double midpointOf(std::size_t bucket);
+
+    /**
+     * The sample of rank @p rank: min and max exactly at the two ends,
+     * otherwise the midpoint of the bucket that holds it.
+     */
+    double valueAtRank(std::uint64_t rank) const;
+
+    std::array<std::uint64_t, kBuckets> counts_{};
+    std::uint64_t count_ = 0;
+    double sum_ = 0.0;
+    double min_ = 0.0;
+    double max_ = 0.0;
 };
 
 /**

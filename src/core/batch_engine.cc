@@ -70,11 +70,7 @@ BatchEngine::runJob(std::size_t index)
     const Engine engine(job->kind, job->config);
     Rng rng(job->xSeed);
     const std::vector<float> x = sparse::randomVector(a.cols(), rng);
-    const auto entry = lookup(engine.scheduler(), a,
-                              engine.config().capacityRowsPerLane());
-    SpmvReport report =
-        engine.runScheduled(entry->schedule, entry->stats, a, x,
-                            job->dataset, job->yOut.get());
+    SpmvReport report = run(engine, a, x, job->dataset, job->yOut.get());
 
     common::MutexLock lock(mutex_);
     Slot &slot = slots_.at(index);
@@ -221,8 +217,9 @@ BatchEngine::run(const Engine &engine, const sparse::CsrMatrix &a,
 {
     const auto entry = lookup(engine.scheduler(), a,
                               engine.config().capacityRowsPerLane());
-    return engine.runScheduled(entry->schedule, entry->stats, a, x, dataset,
-                               y_out, params);
+    return engine.runScheduled(entry->schedule, entry->stats,
+                               entry->replayPlan(), a, x, dataset, y_out,
+                               params);
 }
 
 Comparison

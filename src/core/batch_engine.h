@@ -198,7 +198,11 @@ class BatchEngine
     schedule(const sched::Scheduler &scheduler, const sparse::CsrMatrix &a,
              std::uint32_t capacityRowsPerLane = 0);
 
-    /** Cache-backed Engine::run (thread-safe). */
+    /**
+     * Cache-backed Engine::run (thread-safe). From an entry's second
+     * use on, the run replays the entry's StreamPlan; the report is
+     * bit-identical to a walk. Jobs and compare() run through here too.
+     */
     SpmvReport run(const Engine &engine, const sparse::CsrMatrix &a,
                    const std::vector<float> &x,
                    const std::string &dataset = "",
@@ -214,7 +218,7 @@ class BatchEngine
   private:
     void runJob(std::size_t index) EXCLUDES(mutex_);
 
-    /** Cache-backed, verified entry: schedule plus its statistics. */
+    /** Cache-backed, verified entry: schedule, statistics, plan. */
     std::shared_ptr<const CachedSchedule>
     lookup(const sched::Scheduler &scheduler, const sparse::CsrMatrix &a,
            std::uint32_t capacityRowsPerLane);

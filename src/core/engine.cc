@@ -58,13 +58,14 @@ Engine::runScheduled(const sched::Schedule &schedule,
                      std::vector<float> *y_out,
                      const arch::SpmvParams &params) const
 {
-    return runScheduled(schedule, sched::analyze(schedule), a, x, dataset,
-                        y_out, params);
+    return runScheduled(schedule, sched::analyze(schedule), nullptr, a, x,
+                        dataset, y_out, params);
 }
 
 SpmvReport
 Engine::runScheduled(const sched::Schedule &schedule,
                      const sched::ScheduleStats &stats,
+                     const arch::StreamPlan *plan,
                      const sparse::CsrMatrix &a,
                      const std::vector<float> &x,
                      const std::string &dataset,
@@ -75,7 +76,8 @@ Engine::runScheduled(const sched::Schedule &schedule,
     {
         trace::HostSpan span("simulate:" + accel_->name() +
                              (dataset.empty() ? "" : ":" + dataset));
-        run = accel_->run(schedule, x, params);
+        run = plan ? accel_->runPlanned(schedule, *plan, x, params)
+                   : accel_->run(schedule, x, params);
     }
 
     SpmvReport report;

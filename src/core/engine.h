@@ -111,7 +111,8 @@ class Engine
 
     /**
      * Run a pre-built schedule (skips re-scheduling); analyzes it for
-     * the report's statistics and calls the overload below.
+     * the report's statistics and calls the overload below, walking the
+     * beat lists.
      */
     SpmvReport runScheduled(const sched::Schedule &schedule,
                             const sparse::CsrMatrix &a,
@@ -123,10 +124,14 @@ class Engine
     /**
      * Run a pre-built schedule whose sched::analyze() statistics are
      * @p stats, so a cached schedule is not re-analyzed per request.
-     * Every report is built here.
+     * A non-null @p plan (built from @p schedule at the datapath's
+     * migration depth) is replayed instead of walking the beat lists;
+     * the report is bit-identical either way. Every report is built
+     * here.
      */
     SpmvReport runScheduled(const sched::Schedule &schedule,
                             const sched::ScheduleStats &stats,
+                            const arch::StreamPlan *plan,
                             const sparse::CsrMatrix &a,
                             const std::vector<float> &x,
                             const std::string &dataset = "",

@@ -113,11 +113,34 @@ ScheduleCache::setArtifactDir(const std::string &dir)
     artifactDir_ = dir;
 }
 
+CachedSchedule::CachedSchedule(sched::Schedule sch,
+                               sched::ScheduleStats st)
+    : schedule(std::move(sch)), stats(std::move(st))
+{
+}
+
 std::size_t
 CachedSchedule::memoryBytes() const
 {
     return schedule.memoryBytes() + sizeof(stats) +
-        stats.perPegUnderutilization.capacity() * sizeof(double);
+        stats.perPegUnderutilization.capacity() * sizeof(double) +
+        arch::StreamPlan::bytesFor(schedule);
+}
+
+const arch::StreamPlan *
+CachedSchedule::replayPlan() const
+{
+    if (uses_.fetch_add(1, std::memory_order_relaxed) == 0)
+        return nullptr;
+    std::call_once(planOnce_, [this] {
+        trace::HostSpan span("plan:" + schedule.scheduler);
+        plan_ = std::make_unique<const arch::StreamPlan>(
+            schedule, schedule.config.migrationDepth);
+        planBuilt_.store(true, std::memory_order_release);
+        if (trace::TraceSink *sink = trace::activeSink())
+            sink->addCounter("schedule_cache.plan_builds");
+    });
+    return plan_.get();
 }
 
 std::shared_ptr<const CachedSchedule>
@@ -206,7 +229,7 @@ ScheduleCache::lookup(const sched::Scheduler &scheduler,
     // hits this entry shares them.
     sched::ScheduleStats stats = sched::analyze(*schedule);
     const EntryPtr entry = std::make_shared<const CachedSchedule>(
-        CachedSchedule{std::move(*schedule), std::move(stats)});
+        std::move(*schedule), std::move(stats));
     const std::size_t bytes = entry->memoryBytes();
 
     {

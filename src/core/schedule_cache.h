@@ -23,14 +23,17 @@
 #ifndef CHASON_CORE_SCHEDULE_CACHE_H_
 #define CHASON_CORE_SCHEDULE_CACHE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <future>
 #include <list>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
 
+#include "arch/stream_soa.h"
 #include "common/thread_annotations.h"
 #include "core/engine.h"
 #include "sched/artifact.h"
@@ -88,17 +91,52 @@ std::optional<sched::Schedule> loadArtifact(const std::string &path,
                                             std::string &why);
 
 /**
- * What a cache entry holds: the schedule and its sched::analyze()
- * statistics, computed once when the entry is filled and shared by
- * every request that hits it.
+ * What a cache entry holds: the schedule, its sched::analyze()
+ * statistics, computed once when the entry is filled, and its
+ * arch::StreamPlan, built once on the entry's second use. All three
+ * depend only on the schedule and are shared by every request that
+ * hits the entry; the plan lives and dies with it.
  */
-struct CachedSchedule
+class CachedSchedule
 {
-    sched::Schedule schedule;
-    sched::ScheduleStats stats;
+  public:
+    CachedSchedule(sched::Schedule sch, sched::ScheduleStats st);
 
-    /** Resident bytes: the schedule's plus the statistics'. */
+    CachedSchedule(const CachedSchedule &) = delete;
+    CachedSchedule &operator=(const CachedSchedule &) = delete;
+
+    const sched::Schedule schedule;
+    const sched::ScheduleStats stats;
+
+    /**
+     * Resident bytes: the schedule's, the statistics' and the plan's
+     * (arch::StreamPlan::bytesFor). The plan is counted from the moment
+     * the entry is filled, built or not, so the size never changes.
+     */
     std::size_t memoryBytes() const;
+
+    /**
+     * Count one use of the entry and return the plan to replay for it.
+     * The first use gets null and walks the beat lists, exactly as a
+     * one-off run does: an entry used once builds no plan. The second
+     * use builds the plan (depth schedule.config.migrationDepth) under
+     * std::call_once; concurrent uses wait for that one build, and
+     * every later use replays it.
+     */
+    const arch::StreamPlan *replayPlan() const;
+
+    /** True once the plan is built. */
+    bool planBuilt() const
+    {
+        return planBuilt_.load(std::memory_order_acquire);
+    }
+
+  private:
+    mutable std::atomic<std::uint64_t> uses_{0};
+    mutable std::once_flag planOnce_;
+    /** Written once, inside planOnce_; read after it. */
+    mutable std::unique_ptr<const arch::StreamPlan> plan_;
+    mutable std::atomic<bool> planBuilt_{false};
 };
 
 /** Counter snapshot; taken atomically with respect to cache updates. */

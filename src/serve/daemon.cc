@@ -445,9 +445,10 @@ Daemon::statsJson() const
     // programmer error by contract, and a stats probe must never be.
     std::snprintf(
         buffer, sizeof(buffer),
-        "\"latency_ms\":{\"count\":%zu,\"mean\":%.6g,\"min\":%.6g,"
+        "\"latency_ms\":{\"count\":%llu,\"mean\":%.6g,\"min\":%.6g,"
         "\"max\":%.6g,\"p50\":%.6g,\"p95\":%.6g,\"p99\":%.6g},",
-        latency_.count(), haveLatency ? latency_.mean() : 0.0,
+        static_cast<unsigned long long>(latency_.count()),
+        haveLatency ? latency_.mean() : 0.0,
         haveLatency ? latency_.min() : 0.0,
         haveLatency ? latency_.max() : 0.0,
         haveLatency ? latency_.percentile(50.0) : 0.0,

@@ -192,7 +192,8 @@ class Daemon
 
     /** Leaf lock for every counter statsJson() reports. */
     mutable common::Mutex statsMutex_;
-    SummaryStats latency_ GUARDED_BY(statsMutex_); ///< service ms
+    /** Service ms, in fixed memory: the daemon serves forever. */
+    LogHistogram latency_ GUARDED_BY(statsMutex_);
     std::uint64_t received_ GUARDED_BY(statsMutex_) = 0;
     std::uint64_t served_ GUARDED_BY(statsMutex_) = 0;
     std::uint64_t badRequests_ GUARDED_BY(statsMutex_) = 0;

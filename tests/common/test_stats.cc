@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+
 #include <atomic>
 #include <cmath>
 #include <thread>
@@ -176,6 +178,61 @@ TEST(Histogram, DensityIntegratesToOne)
     for (std::size_t b = 0; b < h.bins(); ++b)
         integral += h.density(b) * 0.25;
     EXPECT_NEAR(integral, 1.0, 1e-9);
+}
+
+TEST(LogHistogram, MillionSamplesWithinOnePercentOfExactSort)
+{
+    // Log-normal service times around a millisecond with a heavy tail,
+    // plus a run of exact zeros: what a daemon's latency looks like.
+    Rng rng(0x1A7E);
+    LogHistogram histogram;
+    SummaryStats exact;
+    for (int i = 0; i < 1000000; ++i) {
+        const double sample =
+            i % 1000 == 0 ? 0.0 : std::exp(1.2 * rng.nextGaussian());
+        histogram.add(sample);
+        exact.add(sample);
+    }
+
+    EXPECT_EQ(histogram.count(), exact.count());
+    EXPECT_EQ(histogram.min(), exact.min());
+    EXPECT_EQ(histogram.max(), exact.max());
+    EXPECT_EQ(histogram.mean(), exact.mean()); // same additions, same order
+    double previous = histogram.min();
+    for (const double p :
+         {0.0, 0.05, 0.2, 1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0,
+          99.9, 100.0}) {
+        SCOPED_TRACE(p);
+        const double want = exact.percentile(p);
+        const double got = histogram.percentile(p);
+        EXPECT_LE(std::fabs(got - want), 0.01 * want);
+        EXPECT_GE(got, previous); // monotone in p
+        EXPECT_GE(got, histogram.min());
+        EXPECT_LE(got, histogram.max());
+        previous = got;
+    }
+}
+
+TEST(LogHistogram, SmallSetsAndOutOfRangeSamplesClampToMinMax)
+{
+    LogHistogram one;
+    one.add(3.7);
+    EXPECT_EQ(one.percentile(0.0), 3.7);
+    EXPECT_EQ(one.percentile(50.0), 3.7);
+    EXPECT_EQ(one.percentile(100.0), 3.7);
+
+    LogHistogram wide;
+    wide.add(1e-12); // below 2^-32: first bucket
+    wide.add(1e12);  // beyond 2^32: last bucket
+    EXPECT_EQ(wide.percentile(0.0), 1e-12);
+    EXPECT_EQ(wide.percentile(100.0), 1e12);
+    EXPECT_LE(wide.percentile(50.0), 1e12);
+    EXPECT_EQ(wide.count(), 2u);
+    EXPECT_EQ(wide.sum(), 1e-12 + 1e12);
+
+    LogHistogram empty;
+    EXPECT_TRUE(empty.empty());
+    EXPECT_DEATH(empty.percentile(50.0), "empty");
 }
 
 TEST(KdePdf, PeakNearSampleMass)

@@ -263,6 +263,45 @@ TEST(BatchEngine, SharedMatrixReportsBitIdenticalAnyWorkerCount)
     EXPECT_EQ(a.use_count(), 1);
 }
 
+TEST(BatchEngine, SecondUseOfAnEntryBuildsExactlyOnePlan)
+{
+    trace::TraceSink sink;
+    BatchOptions options;
+    options.workers = 4;
+    options.traceSink = &sink;
+    BatchEngine batch(options);
+    const auto a = std::make_shared<const sparse::CsrMatrix>(matrix(6));
+    const Engine engine(Engine::Kind::Chason, smallConfig());
+    auto submitCopies = [&](unsigned copies) {
+        for (unsigned copy = 0; copy < copies; ++copy) {
+            BatchJob j = job(6, Engine::Kind::Chason, "plan");
+            j.matrix = a;
+            batch.submit(std::move(j));
+        }
+        return batch.drain();
+    };
+    auto planBuilds = [&sink] {
+        const auto counters = sink.counters();
+        const auto it = counters.find("schedule_cache.plan_builds");
+        return it == counters.end() ? std::uint64_t{0} : it->second;
+    };
+
+    // Used once: the job walked, as a one-off run does; no plan.
+    const BatchReport once = submitCopies(1);
+    EXPECT_FALSE(batch.cache().lookup(engine.scheduler(), *a)->planBuilt());
+    EXPECT_EQ(planBuilds(), 0u);
+
+    // Four workers hit it at once: one plan between them, and every
+    // replayed report equals the walked one.
+    const BatchReport again = submitCopies(4);
+    EXPECT_TRUE(batch.cache().lookup(engine.scheduler(), *a)->planBuilt());
+    if (CHASON_TRACE_ENABLED) {
+        EXPECT_EQ(planBuilds(), 1u);
+    }
+    for (const SpmvReport &report : again.reports)
+        expectIdentical(once.reports[0], report);
+}
+
 TEST(BatchEngine, DuplicateJobsHitTheSharedCache)
 {
     BatchOptions options;

@@ -9,14 +9,18 @@
  * tiers: pooled CrHCS must produce the calling-thread schedule slot for
  * slot at every pool size, the plan replay must reproduce run()'s
  * beat-list walk exactly (y, every cycle counter, traffic, the report
- * JSON) on both datapaths, and the cache-blocked scatter must produce
- * the direct scatter's arrays.
+ * JSON) on both datapaths, over several passes and from several
+ * threads at once, a plan build must panic wherever the walk would,
+ * and the cache-blocked scatter must produce the direct scatter's
+ * arrays.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "arch/chason_accel.h"
@@ -124,23 +128,43 @@ expectSameRun(const arch::RunResult &ref, const arch::RunResult &planned)
     EXPECT_DOUBLE_EQ(ref.latencyUs, planned.latencyUs);
 }
 
+/** One plan-vs-walk input: a matrix and the stream its x is drawn from. */
+struct PlanCase
+{
+    std::uint64_t stream;
+    sparse::CsrMatrix a;
+};
+
+/** The three R-MAT tiers, x drawn from the stream of the tier's scale. */
+std::vector<PlanCase>
+tierCases()
+{
+    std::vector<PlanCase> cases;
+    for (const Tier &tier : kTiers)
+        cases.push_back({tier.scale, tierMatrix(tier)});
+    return cases;
+}
+
 /**
  * Walk (run) against replay (runPlanned) of @p scheduler's schedule on
- * @p accel, at every tier, for plain SpMV and for a beta != 0 call.
+ * @p accel, for each of @p cases, for plain SpMV and for a beta != 0
+ * call. The plan also holds exactly its closed-form bytes.
  */
 void
 expectPlannedMatchesRun(const arch::Accelerator &accel,
-                        const sched::Scheduler &scheduler)
+                        const sched::Scheduler &scheduler,
+                        const std::vector<PlanCase> &cases = tierCases())
 {
-    for (const Tier &tier : kTiers) {
-        SCOPED_TRACE(tier.name);
-        const sparse::CsrMatrix a = tierMatrix(tier);
-        Rng rng = Rng::forStream(0xD373F00D, tier.scale);
+    for (const PlanCase &c : cases) {
+        SCOPED_TRACE(c.stream);
+        const sparse::CsrMatrix &a = c.a;
+        Rng rng = Rng::forStream(0xD373F00D, c.stream);
         const std::vector<float> x = sparse::randomVector(a.cols(), rng);
         const std::vector<float> y_in = sparse::randomVector(a.rows(), rng);
 
         const sched::Schedule schedule = scheduler.schedule(a);
         const arch::StreamPlan plan(schedule, accel.migrationDepth());
+        EXPECT_EQ(plan.memoryBytes(), arch::StreamPlan::bytesFor(schedule));
 
         expectSameRun(accel.run(schedule, x),
                       accel.runPlanned(schedule, plan, x));
@@ -182,6 +206,133 @@ TEST(PerfDeterminism, PlannedSimulationMatchesRunExactly)
         const arch::SerpensAccelerator accel(ac);
         ASSERT_EQ(accel.migrationDepth(), 0u);
         expectPlannedMatchesRun(accel, sched::PeAwareScheduler(ac.sched));
+    }
+    {
+        // Every tier above fits one pass. 64 rows per lane makes a pass
+        // 8192 rows, so 20000 rows take three passes, the last one
+        // short (3616 rows): the plan's banks are reset per pass to
+        // each pass's own depth, as the walk's are.
+        SCOPED_TRACE("chason, CrHCS multi-pass");
+        arch::ArchConfig ac;
+        ac.sched.rowsPerLanePerPass = 64;
+        const arch::ChasonAccelerator accel(ac);
+        const sched::CrhcsScheduler scheduler(ac.sched);
+        Rng rng = Rng::forStream(0xD373, 64);
+        std::vector<PlanCase> cases;
+        cases.push_back(
+            {64, sparse::erdosRenyi(20000, 12000, 160000, rng)});
+        const sched::Schedule schedule = scheduler.schedule(cases[0].a);
+        ASSERT_EQ(schedule.passes(), 3u);
+        ASSERT_LT(arch::passDepth(schedule, 2),
+                  arch::passDepth(schedule, 0));
+        expectPlannedMatchesRun(accel, scheduler, cases);
+    }
+}
+
+/** A small geometry whose schedules are cheap to corrupt by hand. */
+arch::ArchConfig
+smallArch()
+{
+    arch::ArchConfig ac;
+    ac.sched.channels = 4;
+    ac.sched.pesOverride = 4;
+    ac.sched.rawDistance = 4;
+    ac.sched.windowCols = 128;
+    ac.sched.rowsPerLanePerPass = 64;
+    return ac;
+}
+
+TEST(PerfDeterminismDeathTest, RawHazardPanicsAtPlanBuildLikeTheWalk)
+{
+    const arch::ArchConfig ac = smallArch();
+    Rng rng(0xBAD);
+    const sparse::CsrMatrix a = sparse::erdosRenyi(64, 128, 700, rng);
+    sched::Schedule schedule = sched::CrhcsScheduler(ac.sched).schedule(a);
+    // Write channel 0's first valid slot twice more, on two adjacent
+    // beats of its own lane: the same bank address one beat apart.
+    sched::WindowSchedule &phase = schedule.phases[0];
+    sched::BeatList &beats = phase.channels[0].beats;
+    std::optional<sched::Slot> slot;
+    unsigned pe = 0;
+    for (std::size_t t = 0; t < beats.size() && !slot; ++t) {
+        for (pe = 0; pe < ac.sched.pesPerGroup(); ++pe) {
+            if (beats[t].slots[pe].valid) {
+                slot = beats[t].slots[pe];
+                break;
+            }
+        }
+    }
+    ASSERT_TRUE(slot.has_value());
+    for (unsigned copy = 0; copy < 2; ++copy)
+        beats.emplace_back().slots[pe] = *slot;
+    phase.realign();
+    const arch::ChasonAccelerator accel(ac);
+    const std::vector<float> x(a.cols(), 1.0f);
+
+    EXPECT_DEATH(accel.run(schedule, x), "RAW hazard at address");
+    EXPECT_DEATH(arch::StreamPlan(schedule, accel.migrationDepth()),
+                 "RAW hazard at address");
+}
+
+TEST(PerfDeterminismDeathTest, ForeignLanePanicsAtPlanBuildLikeTheWalk)
+{
+    const arch::ArchConfig ac = smallArch();
+    Rng rng(0xF0E);
+    const sparse::CsrMatrix a = sparse::erdosRenyi(64, 128, 700, rng);
+    sched::Schedule schedule = sched::CrhcsScheduler(ac.sched).schedule(a);
+    // Hand the first private slot of channel 0 to channel 1's lane.
+    bool moved = false;
+    sched::BeatList &beats = schedule.phases[0].channels[0].beats;
+    for (std::size_t t = 0; t < beats.size() && !moved; ++t) {
+        for (sched::Slot &slot : beats[t].slots) {
+            if (slot.valid && slot.pvt) {
+                slot.chSrc = 1;
+                moved = true;
+                break;
+            }
+        }
+    }
+    ASSERT_TRUE(moved);
+    const arch::ChasonAccelerator accel(ac);
+    const std::vector<float> x(a.cols(), 1.0f);
+
+    EXPECT_DEATH(accel.run(schedule, x), "private slot of lane");
+    EXPECT_DEATH(arch::StreamPlan(schedule, accel.migrationDepth()),
+                 "private slot of lane");
+}
+
+TEST(PerfDeterminism, OnePlanReplayedByManyThreadsAtOnce)
+{
+    // A cached plan is shared by every worker that hits its entry: the
+    // concurrent replays must each reproduce their own walk.
+    const arch::ArchConfig ac;
+    const arch::ChasonAccelerator accel(ac);
+    const sparse::CsrMatrix a = tierMatrix(kTiers[1]);
+    const sched::Schedule schedule =
+        sched::CrhcsScheduler(ac.sched).schedule(a);
+    const arch::StreamPlan plan(schedule, accel.migrationDepth());
+
+    constexpr unsigned kThreads = 4;
+    std::vector<std::vector<float>> xs;
+    std::vector<arch::RunResult> walked;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        Rng rng = Rng::forStream(0x7EAD, t);
+        xs.push_back(sparse::randomVector(a.cols(), rng));
+        walked.push_back(accel.run(schedule, xs[t]));
+    }
+    std::vector<arch::RunResult> replayed(kThreads);
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (unsigned r = 0; r < 3; ++r)
+                replayed[t] = accel.runPlanned(schedule, plan, xs[t]);
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    for (unsigned t = 0; t < kThreads; ++t) {
+        SCOPED_TRACE(t);
+        expectSameRun(walked[t], replayed[t]);
     }
 }
 

@@ -300,6 +300,88 @@ TEST(ScheduleCache, CachedScheduleRunsCorrectly)
     EXPECT_LE(via_cache.functionalError, 1.0);
 }
 
+TEST(ScheduleCache, PlanBuildsOnSecondUseAndKeepsTheEntrySize)
+{
+    Engine engine(Engine::Kind::Chason, smallConfig());
+    ScheduleCache cache;
+    const auto entry = cache.lookup(engine.scheduler(), matrix(11));
+    // The plan's closed-form bytes are counted from the fill on.
+    const std::size_t bytes = cache.stats().bytes;
+    EXPECT_EQ(bytes, entry->memoryBytes());
+    EXPECT_EQ(entry->memoryBytes(),
+              entry->schedule.memoryBytes() + sizeof(entry->stats) +
+                  entry->stats.perPegUnderutilization.capacity() *
+                      sizeof(double) +
+                  arch::StreamPlan::bytesFor(entry->schedule));
+
+    EXPECT_EQ(entry->replayPlan(), nullptr); // first use walks
+    EXPECT_FALSE(entry->planBuilt());
+    const arch::StreamPlan *plan = entry->replayPlan();
+    ASSERT_NE(plan, nullptr);
+    EXPECT_TRUE(entry->planBuilt());
+    EXPECT_EQ(entry->replayPlan(), plan); // built once, then replayed
+    EXPECT_EQ(plan->memoryBytes(),
+              arch::StreamPlan::bytesFor(entry->schedule));
+    EXPECT_TRUE(plan->matches(entry->schedule,
+                              engine.accelerator().migrationDepth()));
+
+    EXPECT_EQ(cache.stats().bytes, bytes);
+    EXPECT_EQ(entry->memoryBytes(), bytes);
+    EXPECT_TRUE(cache.debugCheckConsistency());
+}
+
+TEST(ScheduleCache, ConcurrentSecondUsesShareOnePlan)
+{
+    Engine engine(Engine::Kind::Chason, smallConfig());
+    ScheduleCache cache;
+    const auto entry = cache.lookup(engine.scheduler(), matrix(12));
+
+    // Four first-and-later uses at once: one walks, the other three
+    // wait for the one build and get the same plan.
+    constexpr unsigned kThreads = 4;
+    std::vector<const arch::StreamPlan *> seen(kThreads);
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] { seen[t] = entry->replayPlan(); });
+    for (std::thread &th : threads)
+        th.join();
+
+    const arch::StreamPlan *plan = entry->replayPlan();
+    ASSERT_NE(plan, nullptr);
+    unsigned walked = 0;
+    for (const arch::StreamPlan *p : seen) {
+        if (p == nullptr)
+            ++walked;
+        else
+            EXPECT_EQ(p, plan);
+    }
+    EXPECT_EQ(walked, 1u);
+}
+
+TEST(ScheduleCache, EvictedEntryFreesItsPlan)
+{
+    Engine engine(Engine::Kind::Serpens, smallConfig());
+    const sparse::CsrMatrix a = matrix(13);
+    const sparse::CsrMatrix b = matrix(14);
+
+    ScheduleCache probe;
+    ScheduleCache cache(probe.lookup(engine.scheduler(), a)->memoryBytes());
+    std::weak_ptr<const CachedSchedule> weak;
+    {
+        const auto entry = cache.lookup(engine.scheduler(), a);
+        entry->replayPlan();
+        ASSERT_NE(entry->replayPlan(), nullptr);
+        weak = entry;
+        cache.get(engine, b); // over budget: evicts a
+        EXPECT_EQ(cache.stats().evictions, 1u);
+        EXPECT_FALSE(weak.expired()); // still held here
+    }
+    // The plan is a member of the entry: the last release frees both.
+    EXPECT_TRUE(weak.expired());
+    EXPECT_EQ(cache.stats().bytes,
+              cache.lookup(engine.scheduler(), b)->memoryBytes());
+}
+
 TEST(ScheduleCache, ConcurrentSameKeyCoalescesToOneScheduling)
 {
     Engine engine(Engine::Kind::Chason, smallConfig());
