@@ -12,7 +12,8 @@
 
 #include <cstdio>
 
-#include "arch/estimator.h"
+#include "arch/chason_accel.h"
+#include "arch/serpens_accel.h"
 #include "common/table.h"
 #include "sched/crhcs.h"
 #include "sched/pe_aware.h"
@@ -44,19 +45,17 @@ main()
             const sched::Schedule cr =
                 sched::CrhcsScheduler(cfg.sched).schedule(a);
 
-            const double chason_us = arch::estimateLatencyUs(
-                cr, cfg, arch::DatapathKind::Chason);
-            const double serpens_us = arch::estimateLatencyUs(
-                pe, cfg, arch::DatapathKind::Serpens);
-            const double stall = arch::memoryStallFactor(
-                cfg.hbm, arch::datapathFrequencyMhz(
-                             arch::DatapathKind::Chason));
+            const arch::Timeline chason =
+                arch::ChasonAccelerator(cfg).timeline(cr, nullptr);
+            const double serpens_us = arch::SerpensAccelerator(cfg)
+                                          .timeline(pe, nullptr)
+                                          .latencyUs;
 
             t.addRow({tag, u280 ? "U280" : "U55c",
-                      TextTable::num(chason_us, 1),
+                      TextTable::num(chason.latencyUs, 1),
                       TextTable::num(serpens_us, 1),
-                      TextTable::speedup(serpens_us / chason_us, 2),
-                      TextTable::num(stall, 2)});
+                      TextTable::speedup(serpens_us / chason.latencyUs, 2),
+                      TextTable::num(chason.memStallFactor, 2)});
         }
     }
     t.print();

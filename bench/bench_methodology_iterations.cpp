@@ -8,6 +8,7 @@
 
 #include <cstdio>
 
+#include "arch/chason_accel.h"
 #include "common/table.h"
 #include "runtime/host.h"
 #include "sched/crhcs.h"
@@ -23,7 +24,8 @@ main()
     const sparse::CsrMatrix a = sparse::table2ByTag("MY").generate();
     const sched::Schedule sch =
         sched::CrhcsScheduler(sched::SchedConfig{}).schedule(a);
-    const runtime::HostSession session(arch::DatapathKind::Chason);
+    const arch::ChasonAccelerator chason{arch::ArchConfig{}};
+    const runtime::HostSession session(chason);
 
     TextTable t;
     t.setHeader({"iterations", "amortized us/iter (cold board)",

@@ -12,7 +12,8 @@
 #include <chrono>
 #include <cstdio>
 
-#include "arch/estimator.h"
+#include "arch/chason_accel.h"
+#include "arch/serpens_accel.h"
 #include "common/table.h"
 #include "sched/crhcs.h"
 #include "sched/pe_aware.h"
@@ -59,10 +60,12 @@ main()
         });
 
         const arch::ArchConfig cfg;
-        const double serpens_us = arch::estimateLatencyUs(
-            pe_schedule, cfg, arch::DatapathKind::Serpens);
-        const double chason_us = arch::estimateLatencyUs(
-            cr_schedule, cfg, arch::DatapathKind::Chason);
+        const double serpens_us = arch::SerpensAccelerator(cfg)
+                                      .timeline(pe_schedule, nullptr)
+                                      .latencyUs;
+        const double chason_us = arch::ChasonAccelerator(cfg)
+                                     .timeline(cr_schedule, nullptr)
+                                     .latencyUs;
         const double gain_us = serpens_us - chason_us;
         const double extra_ms = cr_ms - pe_ms;
         const double break_even =

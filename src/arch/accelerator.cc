@@ -1,6 +1,6 @@
 /**
  * @file
- * Shared streaming simulation core.
+ * The timing model and the shared streaming simulation core.
  */
 
 #include "arch/accelerator.h"
@@ -9,6 +9,7 @@
 #include <cmath>
 #include <mutex>
 
+#include "arch/frequency.h"
 #include "arch/stream_soa.h"
 #include "common/logging.h"
 #include "trace/trace.h"
@@ -186,21 +187,186 @@ Accelerator::Accelerator(const ArchConfig &config) : config_(config)
     config_.validate();
 }
 
+double
+Accelerator::frequencyMhz() const
+{
+    return FrequencyModel().achievedMhz(
+        migrationDepth() == 0 ? MemoryTopology::SingleUramPerPe
+                              : MemoryTopology::DistributedUramGroup);
+}
+
+RunResult
+Accelerator::run(const sched::Schedule &schedule,
+                 const std::vector<float> &x,
+                 const SpmvParams &params) const
+{
+    return simulateStreaming(schedule, x, params, nullptr);
+}
+
 RunResult
 Accelerator::runPlanned(const sched::Schedule &schedule,
                         const StreamPlan &plan, const std::vector<float> &x,
                         const SpmvParams &params) const
 {
-    return simulateStreaming(schedule, x, params, migrationDepth(), &plan);
+    return simulateStreaming(schedule, x, params, &plan);
+}
+
+Timeline
+Accelerator::timeline(const sched::Schedule &schedule,
+                      trace::TraceSink *sink) const
+{
+    const sched::SchedConfig &sc = schedule.config;
+    chason_assert(sc.channels == config_.sched.channels &&
+                      sc.pesPerGroup() == config_.sched.pesPerGroup(),
+                  "schedule geometry does not match the architecture");
+    const unsigned migration_depth = migrationDepth();
+    const double freq = frequencyMhz();
+    const double mem_factor = memoryStallFactor(config_.hbm, freq);
+
+    Timeline tl(config_.hbm);
+    tl.memStallFactor = mem_factor;
+    CycleBreakdown &cycles = tl.cycles;
+    // sim_now is the span cursor on the simulated-cycle timeline; it
+    // advances exactly in step with the CycleBreakdown accumulation so
+    // the attribution invariant (trace/attribution.h) holds by
+    // construction.
+    std::uint64_t sim_now = 0;
+
+    // Drain of a finished pass. The Reduction Unit sweep (one address
+    // per cycle per PEG, pes x depth x distances) feeds the
+    // Re-order/Arbiter/Merger pipeline that writes y, so the two
+    // overlap: the exposed time is max(sweep, y write) plus the
+    // adder-tree latency. Serpens drains through the same y write
+    // without a reduction stage.
+    auto finish_pass = [&](std::uint32_t pass) {
+        const std::uint64_t y_beats =
+            denseBeats(sched::passRows(schedule, pass));
+        const std::uint64_t y_cycles = streamCycles(y_beats, mem_factor);
+        tl.traffic.recordBeats(config_.yChannel(), hbm::Direction::Write,
+                               y_beats);
+        cycles.writeback += y_cycles;
+        deviceSpan(sink, "y_writeback", trace::Category::Writeback,
+                   trace::kTrackSequencer, sim_now, y_cycles, "pass",
+                   pass, "y_beats", y_beats);
+        sim_now += y_cycles;
+        if (migration_depth > 0) {
+            const std::uint64_t sweep =
+                static_cast<std::uint64_t>(sc.pesPerGroup()) *
+                sched::passDepth(schedule, pass) * migration_depth;
+            const std::uint64_t red_cycles =
+                (sweep > y_cycles ? sweep - y_cycles : 0) +
+                config_.timing.reductionTreeLatency;
+            cycles.reduction += red_cycles;
+            deviceSpan(sink, "scug_reduction", trace::Category::Reduction,
+                       trace::kTrackSequencer, sim_now, red_cycles,
+                       "pass", pass, "sweep_addresses", sweep);
+            sim_now += red_cycles;
+        }
+    };
+
+    std::int64_t current_pass = -1;
+    for (std::size_t phase_idx = 0; phase_idx < schedule.phases.size();
+         ++phase_idx) {
+        const sched::WindowSchedule &phase = schedule.phases[phase_idx];
+        if (static_cast<std::int64_t>(phase.pass) != current_pass) {
+            if (current_pass >= 0)
+                finish_pass(static_cast<std::uint32_t>(current_pass));
+            current_pass = phase.pass;
+        }
+
+        // Dense-vector window load (one channel, broadcast to all
+        // PEGs). The load of window w+1 is double-buffered behind the
+        // streaming of window w in the dataflow design, so only the
+        // first window's load — and any excess over the matrix stream —
+        // costs wall-clock cycles.
+        const std::uint32_t win_len = std::min<std::uint32_t>(
+            sc.windowCols, schedule.cols - phase.window * sc.windowCols);
+        const std::uint64_t x_beats = denseBeats(win_len);
+        tl.traffic.recordBeats(config_.xChannel(), hbm::Direction::Read,
+                               x_beats);
+        const std::uint64_t x_cycles = streamCycles(x_beats, mem_factor);
+        const std::uint64_t stream_cycles =
+            streamCycles(phase.alignedBeats, mem_factor);
+        std::uint64_t exposed_x = 0;
+        if (phase_idx == 0)
+            exposed_x = x_cycles;
+        else if (x_cycles > stream_cycles)
+            exposed_x = x_cycles - stream_cycles;
+        cycles.xLoad += exposed_x;
+        deviceSpan(sink, "x_window_load", trace::Category::XLoad,
+                   trace::kTrackSequencer, sim_now, exposed_x, "window",
+                   phase.window, "x_beats", x_beats);
+        sim_now += exposed_x;
+
+        // Matrix streaming: all channels in lockstep for alignedBeats.
+        for (unsigned ch = 0; ch < sc.channels; ++ch) {
+            tl.traffic.recordBeats(ch, hbm::Direction::Read,
+                                   phase.alignedBeats);
+
+            // Per-PEG busy/stall split of this phase's streaming
+            // window. A beat is busy when the channel's own list has a
+            // valid slot in it; the lockstep padding up to alignedBeats
+            // and all-stall beats are the stalls CrHCS exists to fill
+            // (Fig. 2). busy + stall == stream_cycles exactly, so each
+            // PEG track sums to CycleBreakdown::matrixStream.
+            if (sink) {
+                std::uint64_t busy_beats = 0;
+                std::uint64_t valid_slots = 0;
+                for (const sched::Beat &beat : phase.channels[ch].beats) {
+                    const unsigned valid =
+                        beat.validCount(sc.pesPerGroup());
+                    busy_beats += valid > 0 ? 1 : 0;
+                    valid_slots += valid;
+                }
+                const std::uint64_t busy = std::min(
+                    streamCycles(busy_beats, mem_factor), stream_cycles);
+                const std::uint64_t stall = stream_cycles - busy;
+                deviceSpan(sink, "stream_busy",
+                           trace::Category::MatrixStream, ch, sim_now,
+                           busy, "valid_slots", valid_slots, "beats",
+                           busy_beats);
+                deviceSpan(sink, "stream_stall",
+                           trace::Category::MatrixStream, ch,
+                           sim_now + busy, stall, "stall_beats",
+                           phase.alignedBeats - busy_beats);
+            }
+        }
+        cycles.matrixStream += stream_cycles;
+        sim_now += stream_cycles;
+        cycles.pipelineFill += config_.timing.pipelineFillCycles;
+        deviceSpan(sink, "window_switch", trace::Category::PipelineFill,
+                   trace::kTrackSequencer, sim_now,
+                   config_.timing.pipelineFillCycles, "pass", phase.pass,
+                   "window", phase.window);
+        sim_now += config_.timing.pipelineFillCycles;
+
+        // One descriptor beat on the instruction channel per phase.
+        tl.traffic.recordBeats(config_.instChannel(), hbm::Direction::Read,
+                               1);
+        cycles.instStream += 1;
+        deviceSpan(sink, "descriptor", trace::Category::InstStream,
+                   trace::kTrackSequencer, sim_now, 1);
+        sim_now += 1;
+    }
+    if (current_pass >= 0)
+        finish_pass(static_cast<std::uint32_t>(current_pass));
+
+    cycles.launch = static_cast<std::uint64_t>(
+        std::ceil(config_.timing.launchOverheadUs * freq));
+    deviceSpan(sink, "kernel_launch", trace::Category::Launch,
+               trace::kTrackSequencer, sim_now, cycles.launch);
+
+    tl.latencyUs = static_cast<double>(cycles.total()) / freq;
+    return tl;
 }
 
 RunResult
 Accelerator::simulateStreaming(const sched::Schedule &schedule,
                                const std::vector<float> &x,
                                const SpmvParams &params,
-                               unsigned migration_depth,
                                const StreamPlan *plan) const
 {
+    const unsigned migration_depth = migrationDepth();
     chason_assert(plan == nullptr ||
                       plan->matches(schedule, migration_depth),
                   "stream plan was built for a different schedule or "
@@ -211,48 +377,40 @@ Accelerator::simulateStreaming(const sched::Schedule &schedule,
                       (params.yIn && params.yIn->size() == schedule.rows),
                   "beta != 0 requires a y_in of %u entries",
                   schedule.rows);
-    chason_assert(sc.channels == config_.sched.channels &&
-                      sc.pesPerGroup() == config_.sched.pesPerGroup(),
-                  "schedule geometry does not match the architecture");
+
+    // Cycles, traffic and device spans come from the schedule alone.
+    // Tracing: the sink is null (and folded away under
+    // -DCHASON_TRACE=OFF) unless the calling thread is inside a
+    // trace::ScopedSink.
+    Timeline tl = timeline(schedule, trace::activeSink());
     chason_assert(x.size() == schedule.cols,
                   "x has %zu entries, schedule expects %u", x.size(),
                   schedule.cols);
     // Note: a schedule whose slots migrate farther than the datapath's
     // shared banks reach is caught by SlotRouter::route.
 
-    const sched::LaneMap map(sc);
-    const double freq = frequencyMhz();
-    const double mem_factor = memoryStallFactor(config_.hbm, freq);
-
-    // Tracing: null (and folded away under -DCHASON_TRACE=OFF) unless
-    // the calling thread is inside a trace::ScopedSink. sim_now is the
-    // span cursor on the simulated-cycle timeline; it advances exactly
-    // in step with the CycleBreakdown accumulation so the attribution
-    // invariant (trace/attribution.h) holds by construction.
-    trace::TraceSink *sink = trace::activeSink();
-    std::uint64_t sim_now = 0;
-
     RunResult result;
-    result.traffic = hbm::HbmDevice(config_.hbm);
-    result.memStallFactor = mem_factor;
+    result.cycles = tl.cycles;
+    result.traffic = std::move(tl.traffic);
+    result.latencyUs = tl.latencyUs;
+    result.memStallFactor = tl.memStallFactor;
     result.y.assign(schedule.rows, 0.0f);
 
+    const sched::LaneMap map(sc);
     PegSetLease lease(sc, migration_depth);
     std::vector<Peg> &pegs = lease.pegs;
 
     XWindowBuffer xbuf;
     std::int64_t beat_base = 0;
-    bool first_phase = true;
 
-    // Merge partial sums of a finished pass into y and account the
-    // Reduction Unit sweep. The two scratch vectors are hoisted out of
-    // the per-(channel, PE) loop and the bank reads go through the raw
-    // sum storage — same additions in the same order, no per-lane
-    // allocation.
+    // Merge partial sums of a finished pass into y. The two scratch
+    // vectors are hoisted out of the per-(channel, PE) loop and the
+    // bank reads go through the raw sum storage — same additions in
+    // the same order, no per-lane allocation.
     std::vector<float> lane_sum;
     std::vector<float> reduced;
     auto finish_pass = [&](std::uint32_t pass) {
-        const std::uint32_t depth = passDepth(schedule, pass);
+        const std::uint32_t depth = sched::passDepth(schedule, pass);
         const std::uint32_t local_base = pass * sc.rowsPerLanePerPass;
 
         // Consolidated shared sums: [source channel][source PE] -> rows.
@@ -286,44 +444,13 @@ Accelerator::simulateStreaming(const sched::Schedule &schedule,
             }
         }
 
-        // Drain of the finished pass. The Reduction Unit sweep (one
-        // address per cycle per PEG, pes x depth x distances) feeds the
-        // Re-order/Arbiter/Merger pipeline that writes y, so the two
-        // overlap: the exposed time is max(sweep, y write) plus the
-        // adder-tree latency. Serpens drains through the same y write
-        // without a reduction stage.
-        const std::uint64_t pass_rows = std::min<std::uint64_t>(
-            sc.rowsPerPass(),
-            static_cast<std::uint64_t>(schedule.rows) -
-                static_cast<std::uint64_t>(pass) * sc.rowsPerPass());
-        const std::uint64_t y_beats = denseBeats(pass_rows);
-        const std::uint64_t y_cycles = streamCycles(y_beats, mem_factor);
-        result.traffic.recordBeats(config_.yChannel(),
-                                   hbm::Direction::Write, y_beats);
         // A beta != 0 call also streams the previous y in; the read is
         // independent of the matrix data and prefetches behind the
         // streaming phases, so it costs traffic but no exposed cycles.
         if (reads_y) {
-            result.traffic.recordBeats(config_.yChannel(),
-                                       hbm::Direction::Read, y_beats);
-        }
-        result.cycles.writeback += y_cycles;
-        deviceSpan(sink, "y_writeback", trace::Category::Writeback,
-                   trace::kTrackSequencer, sim_now, y_cycles, "pass",
-                   pass, "y_beats", y_beats);
-        sim_now += y_cycles;
-        if (migration_depth > 0) {
-            const std::uint64_t sweep =
-                static_cast<std::uint64_t>(sc.pesPerGroup()) * depth *
-                migration_depth;
-            const std::uint64_t red_cycles =
-                (sweep > y_cycles ? sweep - y_cycles : 0) +
-                config_.timing.reductionTreeLatency;
-            result.cycles.reduction += red_cycles;
-            deviceSpan(sink, "scug_reduction", trace::Category::Reduction,
-                       trace::kTrackSequencer, sim_now, red_cycles,
-                       "pass", pass, "sweep_addresses", sweep);
-            sim_now += red_cycles;
+            result.traffic.recordBeats(
+                config_.yChannel(), hbm::Direction::Read,
+                denseBeats(sched::passRows(schedule, pass)));
         }
     };
 
@@ -335,40 +462,17 @@ Accelerator::simulateStreaming(const sched::Schedule &schedule,
             if (current_pass >= 0)
                 finish_pass(static_cast<std::uint32_t>(current_pass));
             current_pass = phase.pass;
-            const std::uint32_t depth = passDepth(schedule, phase.pass);
+            const std::uint32_t depth =
+                sched::passDepth(schedule, phase.pass);
             for (Peg &peg : pegs)
                 peg.reset(depth);
         }
 
-        // Dense-vector window load (one channel, broadcast to all
-        // PEGs). The load of window w+1 is double-buffered behind the
-        // streaming of window w in the dataflow design, so only the
-        // first window's load — and any excess over the matrix stream —
-        // costs wall-clock cycles.
         const std::uint32_t col_base = phase.window * sc.windowCols;
         const std::uint32_t win_len = std::min<std::uint32_t>(
             sc.windowCols, schedule.cols - col_base);
         xbuf.load(x, col_base, win_len);
-        const std::uint64_t x_beats = denseBeats(win_len);
-        result.traffic.recordBeats(config_.xChannel(),
-                                   hbm::Direction::Read, x_beats);
-        const std::uint64_t x_cycles = streamCycles(x_beats, mem_factor);
-        const std::uint64_t stream_cycles =
-            streamCycles(phase.alignedBeats, mem_factor);
-        std::uint64_t exposed_x = 0;
-        if (first_phase) {
-            exposed_x = x_cycles;
-            first_phase = false;
-        } else if (x_cycles > stream_cycles) {
-            exposed_x = x_cycles - stream_cycles;
-        }
-        result.cycles.xLoad += exposed_x;
-        deviceSpan(sink, "x_window_load", trace::Category::XLoad,
-                   trace::kTrackSequencer, sim_now, exposed_x, "window",
-                   phase.window, "x_beats", x_beats);
-        sim_now += exposed_x;
 
-        // Matrix streaming: all channels in lockstep for alignedBeats.
         // Without a plan each channel's beat list is walked, routed and
         // checked slot by slot; with one, the plan's routed and checked
         // slots are replayed. Both make the same products in the same
@@ -377,61 +481,14 @@ Accelerator::simulateStreaming(const sched::Schedule &schedule,
         // chason-lint: begin-hot (per-channel streaming loop: the
         // simulator's steady-state path must not allocate)
         for (unsigned ch = 0; ch < sc.channels; ++ch) {
-            const sched::ChannelWindowSchedule &cws = phase.channels[ch];
             if (plan) {
                 plan->replay(phase_idx, ch, xbuf, pegs[ch]);
             } else {
-                streamChannel(cws, router, ch, xbuf, beat_base, sc,
-                              pegs[ch]);
-            }
-            result.traffic.recordBeats(ch, hbm::Direction::Read,
-                                       phase.alignedBeats);
-
-            // Per-PEG busy/stall split of this phase's streaming
-            // window. A beat is busy when the channel's own list has a
-            // valid slot in it; the lockstep padding up to alignedBeats
-            // and all-stall beats are the stalls CrHCS exists to fill
-            // (Fig. 2). busy + stall == stream_cycles exactly, so each
-            // PEG track sums to CycleBreakdown::matrixStream.
-            if (sink) {
-                std::uint64_t busy_beats = 0;
-                std::uint64_t valid_slots = 0;
-                for (const sched::Beat &beat : cws.beats) {
-                    const unsigned valid =
-                        beat.validCount(sc.pesPerGroup());
-                    busy_beats += valid > 0 ? 1 : 0;
-                    valid_slots += valid;
-                }
-                const std::uint64_t busy = std::min(
-                    streamCycles(busy_beats, mem_factor), stream_cycles);
-                const std::uint64_t stall = stream_cycles - busy;
-                deviceSpan(sink, "stream_busy",
-                           trace::Category::MatrixStream, ch, sim_now,
-                           busy, "valid_slots", valid_slots, "beats",
-                           busy_beats);
-                deviceSpan(sink, "stream_stall",
-                           trace::Category::MatrixStream, ch,
-                           sim_now + busy, stall, "stall_beats",
-                           phase.alignedBeats - busy_beats);
+                streamChannel(phase.channels[ch], router, ch, xbuf,
+                              beat_base, sc, pegs[ch]);
             }
         }
         // chason-lint: end-hot
-        result.cycles.matrixStream += stream_cycles;
-        sim_now += stream_cycles;
-        result.cycles.pipelineFill += config_.timing.pipelineFillCycles;
-        deviceSpan(sink, "window_switch", trace::Category::PipelineFill,
-                   trace::kTrackSequencer, sim_now,
-                   config_.timing.pipelineFillCycles, "pass", phase.pass,
-                   "window", phase.window);
-        sim_now += config_.timing.pipelineFillCycles;
-
-        // One descriptor beat on the instruction channel per phase.
-        result.traffic.recordBeats(config_.instChannel(),
-                                   hbm::Direction::Read, 1);
-        result.cycles.instStream += 1;
-        deviceSpan(sink, "descriptor", trace::Category::InstStream,
-                   trace::kTrackSequencer, sim_now, 1);
-        sim_now += 1;
 
         // The pipeline drains between phases, which also clears RAW
         // hazards across the boundary.
@@ -440,15 +497,6 @@ Accelerator::simulateStreaming(const sched::Schedule &schedule,
     }
     if (current_pass >= 0)
         finish_pass(static_cast<std::uint32_t>(current_pass));
-
-    result.cycles.launch = static_cast<std::uint64_t>(
-        std::ceil(config_.timing.launchOverheadUs * freq));
-    deviceSpan(sink, "kernel_launch", trace::Category::Launch,
-               trace::kTrackSequencer, sim_now, result.cycles.launch);
-    sim_now += result.cycles.launch;
-
-    result.latencyUs =
-        static_cast<double>(result.cycles.total()) / freq;
     return result;
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Accelerator base: configuration, run results, and the shared streaming
- * simulation both Serpens and Chasoň build on.
+ * Accelerator base: configuration, run results, the timing model and
+ * the shared streaming simulation both Serpens and Chasoň build on.
  */
 
 #ifndef CHASON_ARCH_ACCELERATOR_H_
@@ -18,6 +18,10 @@
 #include "sched/schedule.h"
 
 namespace chason {
+namespace trace {
+class TraceSink; // trace/trace.h
+} // namespace trace
+
 namespace arch {
 
 class StreamPlan; // arch/stream_soa.h
@@ -69,6 +73,31 @@ struct SpmvParams
     const std::vector<float> *yIn = nullptr;
 };
 
+/**
+ * What running a schedule costs, independent of x: fixed once the
+ * scheduler has laid out the channel data lists.
+ */
+struct Timeline
+{
+    /** Cycle breakdown at the accelerator's clock. */
+    CycleBreakdown cycles;
+
+    /**
+     * Per-channel transfer accounting: matrix, x and descriptor reads
+     * and the y writes. A beta != 0 call also reads y; that is per
+     * call, not per schedule, so it is not in here.
+     */
+    hbm::HbmDevice traffic;
+
+    /** Memory stall factor that was applied. */
+    double memStallFactor = 1.0;
+
+    /** Latency in microseconds at the accelerator's clock. */
+    double latencyUs = 0.0;
+
+    explicit Timeline(const hbm::HbmConfig &hbm) : traffic(hbm) {}
+};
+
 /** Outcome of simulating one SpMV invocation. */
 struct RunResult
 {
@@ -90,7 +119,11 @@ struct RunResult
     RunResult() : traffic(hbm::HbmConfig::alveoU55c()) {}
 };
 
-/** Abstract streaming SpMV accelerator. */
+/**
+ * Streaming SpMV accelerator: the shared datapath of Serpens and
+ * Chasoň, which differ only in how many shared-bank distances a PE
+ * instantiates (migrationDepth()).
+ */
 class Accelerator
 {
   public:
@@ -99,19 +132,28 @@ class Accelerator
 
     virtual std::string name() const = 0;
 
-    /** Kernel clock this architecture closes timing at. */
-    virtual double frequencyMhz() const = 0;
-
-    /** Execute a schedule against the dense vector @p x. */
-    virtual RunResult run(const sched::Schedule &schedule,
-                          const std::vector<float> &x,
-                          const SpmvParams &params = {}) const = 0;
-
     /**
      * Shared-bank distances the datapath instantiates per PE (0 = no
-     * ScUG, the Serpens datapath).
+     * ScUG, the Serpens datapath: any migrated slot is a hard error).
      */
     virtual unsigned migrationDepth() const = 0;
+
+    /**
+     * Kernel clock this architecture closes timing at: the frequency
+     * model's single-URAM topology at depth 0, its distributed ScUG
+     * topology otherwise.
+     */
+    double frequencyMhz() const;
+
+    /**
+     * Execute a schedule against the dense vector @p x: walk every
+     * phase beat by beat through per-channel PEGs, merge partial sums
+     * into y at pass boundaries, and take cycles and traffic from
+     * timeline().
+     */
+    RunResult run(const sched::Schedule &schedule,
+                  const std::vector<float> &x,
+                  const SpmvParams &params = {}) const;
 
     /**
      * Run against a StreamPlan (see arch/stream_soa.h). Bit-identical
@@ -125,29 +167,38 @@ class Accelerator
                          const std::vector<float> &x,
                          const SpmvParams &params = {}) const;
 
+    /**
+     * The timing model: cycles, traffic and latency of running
+     * @p schedule, which depend on the schedule alone (Fig. 2). Per
+     * phase, the x-window load is double-buffered behind the matrix
+     * stream, all channels stream in lockstep for alignedBeats, and the
+     * pipeline refills; per pass, the y write overlaps the Reduction
+     * Unit sweep; launch is charged once. run() and runPlanned() report
+     * exactly this; estimates call it without simulating.
+     *
+     * @param sink when non-null, receives the device spans on the
+     *        simulated-cycle timeline, including each PEG's busy/stall
+     *        split, so the attribution invariant (trace/attribution.h)
+     *        holds by construction. Estimates pass nullptr.
+     */
+    Timeline timeline(const sched::Schedule &schedule,
+                      trace::TraceSink *sink) const;
+
     const ArchConfig &config() const { return config_; }
 
   protected:
     ArchConfig config_;
 
+  private:
     /**
-     * Shared streaming core. Simulates every phase beat by beat through
-     * per-channel PEGs, accumulates timing and traffic, merges partial
-     * sums into y at pass boundaries and accounts the final writeback.
-     *
-     * @param migration_depth shared banks instantiated per PE; 0 makes
-     *        any migrated slot a hard error (the Serpens datapath).
-     *        Reduction Unit sweeps are accounted when it is nonzero.
-     * @param plan            optional plan of this exact (schedule,
-     *        migration_depth) pair, replayed instead of walking the
-     *        beat lists (see arch/stream_soa.h). Results are
-     *        bit-identical with or without a plan.
+     * Compute y by walking the beat lists, or by replaying @p plan when
+     * one is given (results are bit-identical), and attach timeline()
+     * plus the per-call beta y-read beats.
      */
     RunResult simulateStreaming(const sched::Schedule &schedule,
                                 const std::vector<float> &x,
                                 const SpmvParams &params,
-                                unsigned migration_depth,
-                                const StreamPlan *plan = nullptr) const;
+                                const StreamPlan *plan) const;
 };
 
 } // namespace arch

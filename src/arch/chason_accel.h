@@ -13,8 +13,9 @@
 #ifndef CHASON_ARCH_CHASON_ACCEL_H_
 #define CHASON_ARCH_CHASON_ACCEL_H_
 
+#include <algorithm>
+
 #include "arch/accelerator.h"
-#include "arch/frequency.h"
 
 namespace chason {
 namespace arch {
@@ -23,24 +24,21 @@ namespace arch {
 class ChasonAccelerator : public Accelerator
 {
   public:
-    explicit ChasonAccelerator(const ArchConfig &config);
+    explicit ChasonAccelerator(const ArchConfig &config)
+        : Accelerator(config)
+    {
+    }
 
     std::string name() const override { return "chason"; }
-
-    double frequencyMhz() const override { return frequencyMhz_; }
-
-    RunResult run(const sched::Schedule &schedule,
-                  const std::vector<float> &x,
-                  const SpmvParams &params = {}) const override;
 
     /**
      * Follows the scheduler configuration, at least 1 (the paper
      * builds depth 1).
      */
-    unsigned migrationDepth() const override;
-
-  private:
-    double frequencyMhz_;
+    unsigned migrationDepth() const override
+    {
+        return std::max(1u, config_.sched.migrationDepth);
+    }
 };
 
 } // namespace arch

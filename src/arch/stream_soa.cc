@@ -65,18 +65,6 @@ streamChannel(const sched::ChannelWindowSchedule &cws,
     // chason-lint: end-hot
 }
 
-std::uint32_t
-passDepth(const sched::Schedule &schedule, std::uint32_t pass)
-{
-    const sched::SchedConfig &sc = schedule.config;
-    const std::uint64_t lanes = sched::LaneMap(sc).lanes();
-    const std::uint64_t pass_rows = std::min<std::uint64_t>(
-        sc.rowsPerPass(),
-        static_cast<std::uint64_t>(schedule.rows) -
-            static_cast<std::uint64_t>(pass) * sc.rowsPerPass());
-    return static_cast<std::uint32_t>((pass_rows + lanes - 1) / lanes);
-}
-
 StreamPlan::StreamPlan(const sched::Schedule &schedule,
                        unsigned migration_depth)
     : channels_(schedule.config.channels),
@@ -108,7 +96,7 @@ StreamPlan::StreamPlan(const sched::Schedule &schedule,
             const sched::WindowSchedule &phase = schedule.phases[ph];
             if (static_cast<std::int64_t>(phase.pass) != current_pass) {
                 current_pass = phase.pass;
-                peg.reset(passDepth(schedule, phase.pass));
+                peg.reset(sched::passDepth(schedule, phase.pass));
             }
             const sched::BeatList &list = phase.channels[ch].beats;
             const sched::Beat *beats = list.data();

@@ -30,8 +30,10 @@
  * (channel, PE) lane, and both paths keep beat order within a lane,
  * so every bank sees the same additions in the same order. Both round
  * the product to fp32 before the add; chason_arch builds with
- * -ffp-contract=off so the two steps are never fused into an FMA. The
- * cycle accounting does not depend on which path ran.
+ * -ffp-contract=off so the two steps are never fused into an FMA.
+ * Neither path counts cycles: both compute y only, and the cycles,
+ * traffic and device spans of either come from Accelerator::timeline,
+ * which reads the schedule alone.
  */
 
 #ifndef CHASON_ARCH_STREAM_SOA_H_
@@ -129,13 +131,6 @@ void streamChannel(const sched::ChannelWindowSchedule &cws,
                    const SlotRouter &router, unsigned channel,
                    const XWindowBuffer &x, std::int64_t beat_base,
                    const sched::SchedConfig &config, Peg &peg);
-
-/**
- * Depth of the URAM region pass @p pass of @p schedule uses: its rows
- * divided over the lanes, rounded up. Every bank is reset to this depth
- * when the pass begins.
- */
-std::uint32_t passDepth(const sched::Schedule &schedule, std::uint32_t pass);
 
 /**
  * Every valid slot of one schedule, routed and checked once. Build a

@@ -12,12 +12,6 @@
 namespace chason {
 namespace arch {
 
-std::uint64_t
-TimingConfig::cyclesForUs(double us) const
-{
-    return static_cast<std::uint64_t>(std::ceil(us * frequencyMhz));
-}
-
 double
 memoryStallFactor(const hbm::HbmConfig &hbm, double frequency_mhz)
 {

@@ -23,9 +23,6 @@ namespace arch {
 /** Cycle-cost constants of the datapaths. */
 struct TimingConfig
 {
-    /** Kernel clock in MHz. */
-    double frequencyMhz = 301.0;
-
     /**
      * Pipeline fill/drain per (pass, window) phase: multiplier, adder and
      * routing latency before the first result lands and after the last
@@ -45,9 +42,6 @@ struct TimingConfig
      * (Section 5.2), so the per-iteration share is tiny.
      */
     double launchOverheadUs = 0.2;
-
-    /** Cycles at this clock for a duration in microseconds. */
-    std::uint64_t cyclesForUs(double us) const;
 };
 
 /**

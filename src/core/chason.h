@@ -8,7 +8,6 @@
 
 #include "arch/accelerator.h"        // IWYU pragma: export
 #include "arch/chason_accel.h"       // IWYU pragma: export
-#include "arch/estimator.h"          // IWYU pragma: export
 #include "arch/power.h"              // IWYU pragma: export
 #include "arch/resources.h"          // IWYU pragma: export
 #include "arch/serpens_accel.h"      // IWYU pragma: export

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "arch/estimator.h"
 #include "common/logging.h"
 
 namespace chason {
@@ -62,13 +61,10 @@ SpmmEngine::run(const sparse::CsrMatrix &a, const std::vector<float> &b,
 
     const sched::Schedule schedule = engine_.schedule(a);
     const sched::ScheduleStats stats = sched::analyze(schedule);
-    const arch::DatapathKind kind =
-        engine_.kind() == Engine::Kind::Chason
-            ? arch::DatapathKind::Chason
-            : arch::DatapathKind::Serpens;
-    const double freq = arch::datapathFrequencyMhz(kind);
-    const double mem_factor =
-        arch::memoryStallFactor(engine_.config().hbm, freq);
+    const arch::Accelerator &accel = engine_.accelerator();
+    const arch::Timeline spmv = accel.timeline(schedule, nullptr);
+    const double freq = accel.frequencyMhz();
+    const double mem_factor = spmv.memStallFactor;
 
     // --- Functional execution: the real datapath once per B column. ---
     std::vector<float> c(static_cast<std::size_t>(a.rows()) * n_cols,
@@ -95,8 +91,7 @@ SpmmEngine::run(const sparse::CsrMatrix &a, const std::vector<float> &b,
                     static_cast<std::ptrdiff_t>(j + 1) * a.rows());
             params.yIn = &c_col;
         }
-        const arch::RunResult run =
-            engine_.accelerator().run(schedule, column, params);
+        const arch::RunResult run = accel.run(schedule, column, params);
         std::copy(run.y.begin(), run.y.end(),
                   c.begin() + static_cast<std::ptrdiff_t>(j) * a.rows());
         std::vector<double> ref_col(
@@ -114,8 +109,7 @@ SpmmEngine::run(const sparse::CsrMatrix &a, const std::vector<float> &b,
     // One tile streams the whole A schedule once; the B tile for the
     // next round is double-buffered behind it (like the x window in
     // SpMV), so only the first tile's B load is exposed.
-    const arch::CycleBreakdown spmv_cycles =
-        arch::estimateCycles(schedule, engine_.config(), kind);
+    const arch::CycleBreakdown &spmv_cycles = spmv.cycles;
     const std::uint64_t per_tile_stream =
         spmv_cycles.matrixStream + spmv_cycles.pipelineFill +
         spmv_cycles.instStream;
@@ -148,7 +142,7 @@ SpmmEngine::run(const sparse::CsrMatrix &a, const std::vector<float> &b,
         + spmv_cycles.launch;
 
     SpmmReport report;
-    report.accelerator = engine_.accelerator().name();
+    report.accelerator = accel.name();
     report.rows = a.rows();
     report.cols = a.cols();
     report.nCols = n_cols;

@@ -42,19 +42,6 @@ struct LaneSums
     std::vector<std::vector<float>> reduced;
 };
 
-/** Rows per lane actually used by a pass. */
-std::uint32_t
-passDepth(const sched::Schedule &schedule, std::uint32_t pass)
-{
-    const sched::SchedConfig &sc = schedule.config;
-    const std::uint64_t pass_rows = std::min<std::uint64_t>(
-        sc.rowsPerPass(),
-        static_cast<std::uint64_t>(schedule.rows) -
-            static_cast<std::uint64_t>(pass) * sc.rowsPerPass());
-    return static_cast<std::uint32_t>(
-        (pass_rows + sc.lanes() - 1) / sc.lanes());
-}
-
 /** The reader task: streams one channel's data lists, phase by phase. */
 void
 readerTask(const sched::Schedule &schedule, unsigned channel,
@@ -110,7 +97,7 @@ pegTask(const sched::Schedule &schedule, unsigned channel,
     std::vector<std::vector<std::vector<float>>> sh;
 
     auto reset_banks = [&](std::uint32_t pass) {
-        depth = passDepth(schedule, pass);
+        depth = sched::passDepth(schedule, pass);
         pvt.assign(pes, std::vector<float>(depth, 0.0f));
         sh.assign(pes, std::vector<std::vector<float>>(
                            pes, std::vector<float>(depth, 0.0f)));
@@ -209,7 +196,7 @@ mergerTask(const sched::Schedule &schedule,
 
         const std::uint32_t pass = round.front().pass;
         const std::uint32_t local_base = pass * sc.rowsPerLanePerPass;
-        const std::uint32_t depth = passDepth(schedule, pass);
+        const std::uint32_t depth = sched::passDepth(schedule, pass);
         for (unsigned s = 0; s < sc.channels; ++s) {
             chason_assert(round[s].pass == pass, "pass skew in merger");
             // Shared sums for channel s were computed one channel back.

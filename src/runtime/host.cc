@@ -40,11 +40,10 @@ EndToEndReport::kernelShare() const
     return per_iter <= 0.0 ? 0.0 : kernelUs / per_iter;
 }
 
-HostSession::HostSession(arch::DatapathKind kind, HostPlatform platform,
-                         arch::ArchConfig config)
-    : kind_(kind), platform_(platform), config_(config)
+HostSession::HostSession(const arch::Accelerator &accelerator,
+                         HostPlatform platform)
+    : accelerator_(accelerator), platform_(platform)
 {
-    config_.validate();
 }
 
 EndToEndReport
@@ -70,7 +69,7 @@ HostSession::measure(const sched::Schedule &schedule,
     report.yDownloadUs = platform_.dmaUs(
         static_cast<std::uint64_t>(schedule.rows) * sizeof(float));
     report.dispatchUs = platform_.dispatchUs;
-    report.kernelUs = arch::estimateLatencyUs(schedule, config_, kind_);
+    report.kernelUs = accelerator_.timeline(schedule, nullptr).latencyUs;
     return report;
 }
 

@@ -9,14 +9,15 @@
  * U55c hangs off (Section 5.1), the one-time bitstream configuration,
  * the one-time DMA of the scheduling artifact into HBM, the per-
  * iteration x upload / y download, and the kernel itself (from the
- * cycle estimator) — and reports how per-iteration latency converges to
- * kernel latency as the iteration count grows.
+ * accelerator's timing model, Accelerator::timeline) — and reports how
+ * per-iteration latency converges to kernel latency as the iteration
+ * count grows.
  */
 
 #ifndef CHASON_RUNTIME_HOST_H_
 #define CHASON_RUNTIME_HOST_H_
 
-#include "arch/estimator.h"
+#include "arch/accelerator.h"
 #include "sched/schedule.h"
 
 namespace chason {
@@ -46,7 +47,7 @@ struct HostPlatform
  *
  * Units are in the field names: *Ms fields are wall milliseconds, *Us
  * fields wall microseconds (kernel cycles have already been converted
- * through the datapath clock by the estimator). Pure data + const
+ * through the datapath clock by the timing model). Pure data + const
  * accessors: safe to build and read from concurrent batch workers.
  */
 struct EndToEndReport
@@ -87,13 +88,14 @@ struct EndToEndReport
  * Immutable after construction; measure() is const and deterministic,
  * so a session may be shared across batch workers — chason_sweep's
  * per-matrix end-to-end section calls it from the core::BatchEngine
- * pool against cache-resident schedules.
+ * pool against cache-resident schedules. The session refers to the
+ * accelerator it was built on, which must outlive it.
  */
 class HostSession
 {
   public:
-    HostSession(arch::DatapathKind kind, HostPlatform platform = {},
-                arch::ArchConfig config = {});
+    explicit HostSession(const arch::Accelerator &accelerator,
+                         HostPlatform platform = {});
 
     /**
      * Model a measurement campaign of @p iterations invocations of the
@@ -107,9 +109,8 @@ class HostSession
                            bool include_bitstream = false) const;
 
   private:
-    arch::DatapathKind kind_;
+    const arch::Accelerator &accelerator_;
     HostPlatform platform_;
-    arch::ArchConfig config_;
 };
 
 } // namespace runtime

@@ -121,6 +121,22 @@ Schedule::passes() const
     return (rows + config.rowsPerPass() - 1) / config.rowsPerPass();
 }
 
+std::uint64_t
+passRows(const Schedule &schedule, std::uint32_t pass)
+{
+    const std::uint64_t per_pass = schedule.config.rowsPerPass();
+    return std::min<std::uint64_t>(
+        per_pass, static_cast<std::uint64_t>(schedule.rows) - pass * per_pass);
+}
+
+std::uint32_t
+passDepth(const Schedule &schedule, std::uint32_t pass)
+{
+    const std::uint64_t lanes = schedule.config.lanes();
+    return static_cast<std::uint32_t>(
+        (passRows(schedule, pass) + lanes - 1) / lanes);
+}
+
 PhaseWorkList
 buildPhaseWork(const sparse::CsrMatrix &matrix, const SchedConfig &config)
 {

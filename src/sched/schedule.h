@@ -302,6 +302,19 @@ struct Schedule
 };
 
 /**
+ * Rows row pass @p pass of @p schedule covers: rowsPerPass(), except
+ * for a short last pass.
+ */
+std::uint64_t passRows(const Schedule &schedule, std::uint32_t pass);
+
+/**
+ * Depth of the URAM region pass @p pass uses: its rows divided over the
+ * lanes, rounded up. Every bank is reset to this depth when the pass
+ * begins.
+ */
+std::uint32_t passDepth(const Schedule &schedule, std::uint32_t pass);
+
+/**
  * Total artifact size in bytes (what the host must DMA to HBM for the
  * matrix streams — the "data list" footprint the paper's transfer
  * numbers count).

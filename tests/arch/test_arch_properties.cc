@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "arch/chason_accel.h"
-#include "arch/estimator.h"
 #include "arch/serpens_accel.h"
 #include "common/rng.h"
 #include "core/engine.h"
@@ -55,8 +54,8 @@ TEST(ArchProperties, LowerPlatformBandwidthNeverSpeedsUp)
     u280.hbm = hbm::HbmConfig::alveoU280();
     const sched::Schedule sch =
         sched::CrhcsScheduler(u55c.sched).schedule(a);
-    EXPECT_LE(estimateLatencyUs(sch, u55c, DatapathKind::Chason),
-              estimateLatencyUs(sch, u280, DatapathKind::Chason));
+    EXPECT_LE(ChasonAccelerator(u55c).timeline(sch, nullptr).latencyUs,
+              ChasonAccelerator(u280).timeline(sch, nullptr).latencyUs);
 }
 
 TEST(ArchProperties, SpeedupIsBandwidthPortable)
@@ -75,8 +74,8 @@ TEST(ArchProperties, SpeedupIsBandwidthPortable)
     auto ratio = [&](const hbm::HbmConfig &hbm_cfg) {
         ArchConfig cfg;
         cfg.hbm = hbm_cfg;
-        return estimateLatencyUs(pe, cfg, DatapathKind::Serpens) /
-            estimateLatencyUs(cr, cfg, DatapathKind::Chason);
+        return SerpensAccelerator(cfg).timeline(pe, nullptr).latencyUs /
+            ChasonAccelerator(cfg).timeline(cr, nullptr).latencyUs;
     };
     const double u55c = ratio(hbm::HbmConfig::alveoU55c());
     const double u280 = ratio(hbm::HbmConfig::alveoU280());

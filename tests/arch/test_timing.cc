@@ -60,13 +60,6 @@ TEST(CycleBreakdown, TotalSums)
     EXPECT_EQ(b.total(), 194u);
 }
 
-TEST(TimingConfig, CyclesForUs)
-{
-    TimingConfig t;
-    t.frequencyMhz = 300.0;
-    EXPECT_EQ(t.cyclesForUs(2.0), 600u);
-}
-
 TEST(FrequencyModel, ReproducesPaperClocks)
 {
     const FrequencyModel fm;

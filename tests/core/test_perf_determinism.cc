@@ -223,8 +223,8 @@ TEST(PerfDeterminism, PlannedSimulationMatchesRunExactly)
             {64, sparse::erdosRenyi(20000, 12000, 160000, rng)});
         const sched::Schedule schedule = scheduler.schedule(cases[0].a);
         ASSERT_EQ(schedule.passes(), 3u);
-        ASSERT_LT(arch::passDepth(schedule, 2),
-                  arch::passDepth(schedule, 0));
+        ASSERT_LT(sched::passDepth(schedule, 2),
+                  sched::passDepth(schedule, 0));
         expectPlannedMatchesRun(accel, scheduler, cases);
     }
 }

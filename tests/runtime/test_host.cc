@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "arch/chason_accel.h"
+#include "arch/serpens_accel.h"
 #include "common/rng.h"
 #include "sched/crhcs.h"
 #include "sched/pe_aware.h"
@@ -15,6 +17,13 @@
 namespace chason {
 namespace runtime {
 namespace {
+
+const arch::Accelerator &
+chasonAccelerator()
+{
+    static const arch::ChasonAccelerator accel{arch::ArchConfig{}};
+    return accel;
+}
 
 sched::Schedule
 sampleSchedule()
@@ -38,7 +47,7 @@ TEST(HostPlatform, DmaCostModel)
 TEST(HostSession, AmortizationConvergesToSteadyState)
 {
     const sched::Schedule sch = sampleSchedule();
-    const HostSession session(arch::DatapathKind::Chason);
+    const HostSession session(chasonAccelerator());
 
     const EndToEndReport one = session.measure(sch, 1, true);
     const EndToEndReport thousand = session.measure(sch, 1000);
@@ -59,7 +68,7 @@ TEST(HostSession, ThousandIterationsIsKernelDominated)
     // Section 5.2's claim, quantified: at 1000 iterations the
     // measurement mostly sees the kernel.
     const sched::Schedule sch = sampleSchedule();
-    const HostSession session(arch::DatapathKind::Chason);
+    const HostSession session(chasonAccelerator());
     const EndToEndReport r = session.measure(sch, 1000);
     EXPECT_GT(r.kernelShare(), 0.25);
     EXPECT_GT(r.kernelUs, 0.0);
@@ -80,8 +89,9 @@ TEST(HostSession, SerpensPaysForItsPaddingTwice)
     const sched::Schedule chason =
         sched::CrhcsScheduler(sched::SchedConfig{}).schedule(a);
 
-    const HostSession s_serpens(arch::DatapathKind::Serpens);
-    const HostSession s_chason(arch::DatapathKind::Chason);
+    const arch::SerpensAccelerator serpens_accel{arch::ArchConfig{}};
+    const HostSession s_serpens(serpens_accel);
+    const HostSession s_chason(chasonAccelerator());
     const EndToEndReport rs = s_serpens.measure(serpens, 1000);
     const EndToEndReport rc = s_chason.measure(chason, 1000);
     EXPECT_GT(rs.artifactDmaMs, rc.artifactDmaMs);
@@ -91,7 +101,7 @@ TEST(HostSession, SerpensPaysForItsPaddingTwice)
 TEST(HostSession, TotalsAreConsistent)
 {
     const sched::Schedule sch = sampleSchedule();
-    const HostSession session(arch::DatapathKind::Chason);
+    const HostSession session(chasonAccelerator());
     const EndToEndReport r = session.measure(sch, 10);
     EXPECT_NEAR(r.totalMs(),
                 r.bitstreamMs + r.artifactDmaMs +
@@ -104,7 +114,7 @@ TEST(HostSession, TotalsAreConsistent)
 TEST(HostSessionDeath, ZeroIterationsPanics)
 {
     const sched::Schedule sch = sampleSchedule();
-    const HostSession session(arch::DatapathKind::Chason);
+    const HostSession session(chasonAccelerator());
     EXPECT_DEATH(session.measure(sch, 0), "iteration");
 }
 

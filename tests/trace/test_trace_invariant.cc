@@ -3,13 +3,16 @@
  * The tracing layer's checked property: device spans emitted by a
  * simulation reconcile exactly with the run's CycleBreakdown — per
  * category and per PEG track. Runs both engines over several matrix
- * shapes; any double-count or dropped span fails here.
+ * shapes, and a plan replay against the walk; any double-count or
+ * dropped span fails here.
  */
 
 #include "trace/attribution.h"
 
 #include <gtest/gtest.h>
 
+#include "arch/chason_accel.h"
+#include "arch/stream_soa.h"
 #include "common/rng.h"
 #include "core/engine.h"
 #include "sparse/generators.h"
@@ -118,6 +121,94 @@ TEST(CycleAttribution, ChasonWithEmptyRows)
     Rng rng(14);
     expectReconciles(core::Engine::Kind::Chason,
                      sparse::erdosRenyi(300, 300, 900, rng));
+}
+
+/** Field-by-field equality of two device-span sequences. */
+void
+expectSameSpans(const TraceSink &a, const TraceSink &b)
+{
+    const std::vector<SpanEvent> sa = a.spans();
+    const std::vector<SpanEvent> sb = b.spans();
+    ASSERT_EQ(sa.size(), sb.size());
+    auto arg = [](const char *name) {
+        return std::string(name ? name : "");
+    };
+    for (std::size_t i = 0; i < sa.size(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(sa[i].name, sb[i].name);
+        EXPECT_EQ(sa[i].cat, sb[i].cat);
+        EXPECT_EQ(sa[i].track, sb[i].track);
+        EXPECT_EQ(sa[i].device, sb[i].device);
+        EXPECT_EQ(sa[i].begin, sb[i].begin);
+        EXPECT_EQ(sa[i].dur, sb[i].dur);
+        EXPECT_EQ(arg(sa[i].argName0), arg(sb[i].argName0));
+        EXPECT_EQ(sa[i].argVal0, sb[i].argVal0);
+        EXPECT_EQ(arg(sa[i].argName1), arg(sb[i].argName1));
+        EXPECT_EQ(sa[i].argVal1, sb[i].argVal1);
+    }
+}
+
+TEST(CycleAttribution, ChasonPlanReplayMatchesWalkMultiPass)
+{
+    // Warm served requests replay a StreamPlan instead of walking the
+    // beat lists; the replay must emit the walk's device spans. 3000
+    // rows over a 1024-row pass (16 lanes x 64) take three passes.
+    Rng rng(16);
+    const sparse::CsrMatrix a = sparse::erdosRenyi(3000, 300, 12000, rng);
+    const std::vector<float> x = sparse::randomVector(a.cols(), rng);
+    const core::Engine engine(core::Engine::Kind::Chason, smallConfig());
+    const sched::Schedule schedule = engine.schedule(a);
+    ASSERT_EQ(schedule.passes(), 3u);
+    const arch::Accelerator &accel = engine.accelerator();
+    const arch::StreamPlan plan(schedule, accel.migrationDepth());
+
+    TraceSink walk_sink;
+    TraceSink replay_sink;
+    arch::RunResult walked;
+    arch::RunResult replayed;
+    {
+        ScopedSink scope(walk_sink);
+        walked = accel.run(schedule, x);
+    }
+    {
+        ScopedSink scope(replay_sink);
+        replayed = accel.runPlanned(schedule, plan, x);
+    }
+    EXPECT_EQ(walked.y, replayed.y);
+    EXPECT_EQ(walked.cycles.total(), replayed.cycles.total());
+
+    if (!kEnabled) {
+        EXPECT_TRUE(walk_sink.empty());
+        EXPECT_TRUE(replay_sink.empty());
+        return;
+    }
+    EXPECT_FALSE(walk_sink.empty());
+    expectSameSpans(walk_sink, replay_sink);
+    auto expect_reconciles = [](const TraceSink &sink,
+                                const arch::RunResult &run) {
+        const AttributionCheck check = checkCycleAttribution(
+            sink, totalsOf(run.cycles), smallConfig().sched.channels);
+        EXPECT_TRUE(check.ok) << check.message;
+    };
+    expect_reconciles(walk_sink, walked);
+    expect_reconciles(replay_sink, replayed);
+}
+
+TEST(CycleAttribution, EstimateRecordsNoSpans)
+{
+    // An estimate passes no sink: it must stay out of an active trace.
+    Rng rng(17);
+    const sparse::CsrMatrix a = sparse::erdosRenyi(3000, 300, 12000, rng);
+    const core::Engine engine(core::Engine::Kind::Chason, smallConfig());
+    const sched::Schedule schedule = engine.schedule(a);
+    TraceSink sink;
+    {
+        ScopedSink scope(sink);
+        const arch::Timeline estimate =
+            engine.accelerator().timeline(schedule, nullptr);
+        EXPECT_GT(estimate.cycles.total(), 0u);
+    }
+    EXPECT_TRUE(sink.empty());
 }
 
 TEST(CycleAttribution, DetectsMissingCycles)

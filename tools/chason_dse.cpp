@@ -4,8 +4,9 @@
  *
  * Sweeps architecture knobs (matrix channels, PEs per PEG, migration
  * depth, ScUG size) over a matrix, evaluates each point with the
- * closed-form estimator and the resource model, and prints the frontier:
- * latency vs URAM cost, with points that do not fit the U55c flagged.
+ * accelerator's timing model (Accelerator::timeline) and the resource
+ * model, and prints the frontier: latency vs URAM cost, with points
+ * that do not fit the U55c flagged.
  *
  * Points are scheduled concurrently on a core::BatchEngine pool
  * (scheduling dominates each point's cost); the point list, the sort
@@ -72,16 +73,15 @@ evaluate(core::BatchEngine &batch, const sparse::CsrMatrix &a,
                          cfg.capacityRowsPerLane())
         : batch.schedule(sched::CrhcsScheduler(cfg.sched), a,
                          cfg.capacityRowsPerLane());
-    const arch::DatapathKind kind = depth == 0
-        ? arch::DatapathKind::Serpens
-        : arch::DatapathKind::Chason;
     const arch::FpgaResources res = depth == 0
         ? arch::serpensResources(cfg)
         : arch::chasonResources(cfg);
+    const double latency_us = depth == 0
+        ? arch::SerpensAccelerator(cfg).timeline(*sch, nullptr).latencyUs
+        : arch::ChasonAccelerator(cfg).timeline(*sch, nullptr).latencyUs;
 
-    return {channels, pes, depth, scug,
-            arch::estimateLatencyUs(*sch, cfg, kind),
-            res.uram, res.fitsU55c(),
+    return {channels, pes, depth, scug, latency_us, res.uram,
+            res.fitsU55c(),
             sched::analyze(*sch).underutilizationPercent};
 }
 

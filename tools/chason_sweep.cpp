@@ -63,11 +63,7 @@ amortizedUs(core::BatchEngine &batch, core::Engine::Kind kind,
     // A cache hit unless the entry was evicted since compare() filled
     // it (only possible under byte-budget pressure).
     const auto schedule = batch.schedule(engine, a);
-    const arch::DatapathKind datapath = kind == core::Engine::Kind::Chason
-        ? arch::DatapathKind::Chason
-        : arch::DatapathKind::Serpens;
-    const runtime::HostSession session(datapath, runtime::HostPlatform{},
-                                       engine.config());
+    const runtime::HostSession session(engine.accelerator());
     return session.measure(*schedule, kAmortizationIterations, false)
         .amortizedPerIterationUs();
 }
