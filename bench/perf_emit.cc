@@ -11,6 +11,7 @@
 
 #include "common/buildinfo.h"
 #include "common/env.h"
+#include "common/json.h"
 #include "common/logging.h"
 
 namespace chason {
@@ -93,54 +94,49 @@ medianOf(std::vector<double> samples)
     return 0.5 * (samples[n / 2 - 1] + samples[n / 2]);
 }
 
-std::string
-gitRevision()
-{
-    // Resolution (override env var, live git query with -dirty marking,
-    // configure-time fallback) lives in common/buildinfo.cc so the
-    // SARIF emitters stamp the same revision string the BENCH reports
-    // carry.
-    return common::gitRevision();
-}
-
 void
 writePerfJson(const std::string &path, const std::string &bench,
               const std::string &unit,
               const std::vector<PerfSample> &samples)
 {
-    FILE *f = std::fopen(path.c_str(), "w");
-    chason_assert(f != nullptr, "cannot write %s", path.c_str());
-    std::fprintf(f, "{\"bench\":\"%s\",\"unit\":\"%s\",\"git_rev\":\"%s\","
-                 "\n \"tiers\":[\n", bench.c_str(), unit.c_str(),
-                 gitRevision().c_str());
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-        const PerfSample &s = samples[i];
-        std::fprintf(
-            f,
-            "  {\"tier\":\"%s\",\"rows\":%u,\"cols\":%u,\"nnz\":%zu,"
-            "\"warmups\":%u,\"iterations\":%u,\"median_ms\":%.6g,"
-            "\"throughput_per_s\":%.6g",
-            s.tier.c_str(), s.rows, s.cols, s.nnz, s.warmups,
-            s.iterations, s.medianMs, s.throughputPerS);
+    constexpr const char *kMetric = "%.6g";
+    std::string out;
+    common::JsonWriter w(out);
+    w.beginObject().key("bench").string(bench).key("unit").string(unit)
+        .key("git_rev").string(common::gitRevision())
+        .space("\n ").key("tiers").beginArray();
+    for (const PerfSample &s : samples) {
+        w.space("\n  ").beginObject()
+            .key("tier").string(s.tier)
+            .key("rows").integer(s.rows)
+            .key("cols").integer(s.cols)
+            .key("nnz").integer(s.nnz)
+            .key("warmups").integer(s.warmups)
+            .key("iterations").integer(s.iterations)
+            .key("median_ms").number(s.medianMs, kMetric)
+            .key("throughput_per_s").number(s.throughputPerS, kMetric);
         // A zero cycle count means "this bench does not simulate", not
         // "it simulated nothing" — leave the field out rather than
         // emit a misleading number.
         if (s.cycles != 0)
-            std::fprintf(f, ",\"cycles\":%llu",
-                         static_cast<unsigned long long>(s.cycles));
-        std::fprintf(f, ",\"checksum\":%.17g", s.checksum);
+            w.key("cycles").integer(s.cycles);
+        w.key("checksum").number(s.checksum, "%.17g");
         if (s.coldMedianMs > 0.0)
-            std::fprintf(f, ",\"cold_median_ms\":%.6g", s.coldMedianMs);
+            w.key("cold_median_ms").number(s.coldMedianMs, kMetric);
         if (s.jobsCount > 0)
-            std::fprintf(f, ",\"jobs\":%u", s.jobsCount);
+            w.key("jobs").integer(s.jobsCount);
         if (s.scalingEfficiency >= 0.0)
-            std::fprintf(f, ",\"scaling_efficiency\":%.6g",
-                         s.scalingEfficiency);
+            w.key("scaling_efficiency").number(s.scalingEfficiency, kMetric);
         if (s.cacheHitRate >= 0.0)
-            std::fprintf(f, ",\"cache_hit_rate\":%.6g", s.cacheHitRate);
-        std::fprintf(f, "}%s\n", i + 1 < samples.size() ? "," : "");
+            w.key("cache_hit_rate").number(s.cacheHitRate, kMetric);
+        w.endObject();
     }
-    std::fprintf(f, " ]}\n");
+    w.space("\n ").endArray().endObject();
+    out += '\n';
+
+    FILE *f = std::fopen(path.c_str(), "w");
+    chason_assert(f != nullptr, "cannot write %s", path.c_str());
+    std::fputs(out.c_str(), f);
     std::fclose(f);
 }
 

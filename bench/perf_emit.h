@@ -115,17 +115,7 @@ double nowMs();
 double medianOf(std::vector<double> samples);
 
 /**
- * Revision stamp for the report, resolved at emit time: the
- * CHASON_GIT_REV env var when set, else `git rev-parse --short HEAD`
- * with a "-dirty" suffix when the working tree has local changes (the
- * numbers then measure code HEAD does not contain), else the
- * CHASON_GIT_REV compile definition, else "unknown".
- */
-std::string gitRevision();
-
-/**
- * Write the report. Layout (one tier object per line, which is what
- * chason_perf_gate's intentionally simple reader relies on):
+ * Write the report, one tier object per line:
  *
  *   {"bench":"sched","unit":"nnz_per_s","git_rev":"abc1234",
  *    "tiers":[

@@ -23,7 +23,8 @@ ctest --test-dir build-tsan \
 
 # Memory-safety leg: the parsing/verification surface again under
 # ASan+UBSan (artifact readers, verifier, mutation injector, SARIF,
-# and the serving protocol's JSON/request parsers — hostile-input
+# the JSON parser and writer with the report and trace emitters on it,
+# and the serving protocol's request parser — hostile-input
 # territory), plus the simulator's streaming walk and plan replay,
 # which index bank tables by slot tags and the x window by slot
 # columns, and the timing model, which indexes HbmDevice channels and
@@ -33,9 +34,9 @@ cmake --build build-asan --target \
     test_matrix_market test_schedule test_schedule_io test_artifact \
     test_verifier test_sarif test_sarif_merge test_differential \
     test_serve_protocol test_peg test_accelerators test_perf_determinism \
-    test_estimator test_trace_invariant
+    test_estimator test_trace_invariant test_json test_report_json test_trace
 ctest --test-dir build-asan \
-    -R 'test_(matrix_market|schedule(_io)?$|artifact$|verifier|sarif|differential|serve_protocol|peg|accelerators|perf_determinism|estimator|trace_invariant)' \
+    -R 'test_(matrix_market|schedule(_io)?$|artifact$|verifier|sarif|differential|serve_protocol|peg|accelerators|perf_determinism|estimator|trace_invariant|json|report_json|trace$)' \
     --output-on-failure 2>&1 | tee -a test_output.txt
 
 # Static schedule verification gate: every bundled example schedule must

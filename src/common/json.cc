@@ -1,16 +1,19 @@
 /**
  * @file
- * Recursive-descent JSON parser implementation.
+ * JSON parser, escaping and writer implementation.
  */
 
-#include "serve/json.h"
+#include "common/json.h"
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
+#include "common/logging.h"
+
 namespace chason {
-namespace serve {
+namespace common {
 
 namespace {
 
@@ -283,6 +286,38 @@ struct Parser
     }
 };
 
+void
+appendEscaped(std::string &out, std::string_view raw)
+{
+    for (unsigned char c : raw) {
+        switch (c) {
+          case '"':
+            out += "\\\"";
+            break;
+          case '\\':
+            out += "\\\\";
+            break;
+          case '\n':
+            out += "\\n";
+            break;
+          case '\r':
+            out += "\\r";
+            break;
+          case '\t':
+            out += "\\t";
+            break;
+          default:
+            if (c < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+                out += buf;
+            } else {
+                out += static_cast<char>(c);
+            }
+        }
+    }
+}
+
 } // namespace
 
 const JsonValue *
@@ -340,5 +375,107 @@ parseJson(const std::string &text, JsonValue &out, std::string &error)
     return true;
 }
 
-} // namespace serve
+std::string
+jsonEscape(std::string_view raw)
+{
+    std::string out;
+    out.reserve(raw.size());
+    appendEscaped(out, raw);
+    return out;
+}
+
+void
+JsonWriter::separate()
+{
+    if (comma_)
+        out_ += ',';
+    if (space_ != nullptr)
+        out_ += space_;
+    space_ = nullptr;
+    comma_ = true;
+}
+
+JsonWriter &
+JsonWriter::open(char bracket)
+{
+    separate();
+    out_ += bracket;
+    comma_ = false;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::close(char bracket)
+{
+    if (space_ != nullptr)
+        out_ += space_;
+    space_ = nullptr;
+    out_ += bracket;
+    comma_ = true;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::key(std::string_view name)
+{
+    string(name);
+    out_ += ':';
+    comma_ = false;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::string(std::string_view text)
+{
+    separate();
+    out_ += '"';
+    appendEscaped(out_, text);
+    out_ += '"';
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::number(double value, const char *format)
+{
+    if (!std::isfinite(value))
+        return null();
+    separate();
+    char buf[64];
+    const int n = std::snprintf(buf, sizeof(buf), format, value);
+    chason_assert(n >= 0, "bad JSON number format '%s'", format);
+    if (static_cast<std::size_t>(n) < sizeof(buf)) {
+        out_.append(buf, static_cast<std::size_t>(n));
+    } else {
+        // "%f" of a large value: format again straight into the string.
+        const std::size_t at = out_.size();
+        out_.resize(at + static_cast<std::size_t>(n) + 1);
+        std::snprintf(out_.data() + at, static_cast<std::size_t>(n) + 1,
+                      format, value);
+        out_.resize(at + static_cast<std::size_t>(n));
+    }
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::raw(std::string_view json)
+{
+    separate();
+    out_ += json;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::members(std::string_view object)
+{
+    chason_assert(object.size() >= 2 && object.front() == '{' &&
+                      object.back() == '}',
+                  "members() takes a JSON object");
+    if (object.size() > 2) {
+        separate();
+        out_ += object.substr(1, object.size() - 2);
+    }
+    return *this;
+}
+
+} // namespace common
 } // namespace chason

@@ -172,42 +172,22 @@ BatchEngine::lookup(const sched::Scheduler &scheduler,
                     std::uint32_t capacityRowsPerLane)
 {
     auto entry = cache_.lookup(scheduler, a);
-    maybeVerify(entry, a, capacityRowsPerLane);
-    return entry;
-}
-
-void
-BatchEngine::maybeVerify(const std::shared_ptr<const CachedSchedule> &entry,
-                         const sparse::CsrMatrix &a,
-                         std::uint32_t capacityRowsPerLane)
-{
     if (!verifySchedules_)
-        return;
-    {
-        common::MutexLock lock(verifiedMutex_);
-        auto it = verified_.find(entry.get());
-        if (it != verified_.end()) {
-            // Same live instance: already verified. An expired entry
-            // means the address was recycled by the cache — re-verify.
-            if (it->second.lock() == entry)
-                return;
-            verified_.erase(it);
+        return entry;
+    entry->verifyOnce([&](const sched::Schedule &schedule) {
+        verify::VerifyOptions options;
+        options.matrix = &a;
+        options.capacityRowsPerLane = capacityRowsPerLane;
+        const verify::VerifyResult result =
+            verify::verifySchedule(schedule, options);
+        if (!result.clean()) {
+            chason_fatal("schedule verification failed (%s, %zu errors): "
+                         "%s",
+                         schedule.scheduler.c_str(), result.errors,
+                         verify::toString(*result.firstError()).c_str());
         }
-    }
-
-    verify::VerifyOptions options;
-    options.matrix = &a;
-    options.capacityRowsPerLane = capacityRowsPerLane;
-    const verify::VerifyResult result =
-        verify::verifySchedule(entry->schedule, options);
-    if (!result.clean()) {
-        chason_fatal("schedule verification failed (%s, %zu errors): %s",
-                     entry->schedule.scheduler.c_str(), result.errors,
-                     verify::toString(*result.firstError()).c_str());
-    }
-
-    common::MutexLock lock(verifiedMutex_);
-    verified_.emplace(entry.get(), entry);
+    });
+    return entry;
 }
 
 SpmvReport

@@ -218,31 +218,20 @@ class BatchEngine
   private:
     void runJob(std::size_t index) EXCLUDES(mutex_);
 
-    /** Cache-backed, verified entry: schedule, statistics, plan. */
+    /**
+     * Cache-backed entry: schedule, statistics, plan. With
+     * BatchOptions::verifySchedules on, the schedule is statically
+     * verified against @p a on the entry's first use
+     * (CachedSchedule::verifyOnce); an error-severity diagnostic is
+     * fatal().
+     */
     std::shared_ptr<const CachedSchedule>
     lookup(const sched::Scheduler &scheduler, const sparse::CsrMatrix &a,
            std::uint32_t capacityRowsPerLane);
 
-    /**
-     * Statically verify @p entry's schedule against @p a unless this
-     * cached instance was already verified; fatal() on any
-     * error-severity diagnostic. No-op when
-     * BatchOptions::verifySchedules is off.
-     */
-    void maybeVerify(const std::shared_ptr<const CachedSchedule> &entry,
-                     const sparse::CsrMatrix &a,
-                     std::uint32_t capacityRowsPerLane)
-        EXCLUDES(verifiedMutex_);
-
     bool verifySchedules_;
     trace::TraceSink *traceSink_;
     ScheduleCache cache_;
-    common::Mutex verifiedMutex_;
-    // Entries already verified, keyed by instance; weak_ptr detects
-    // an evicted-and-reallocated address so it is re-verified.
-    std::unordered_map<const CachedSchedule *,
-                       std::weak_ptr<const CachedSchedule>>
-        verified_ GUARDED_BY(verifiedMutex_);
     /** One in-flight job: input, result and completion flag. */
     struct Slot
     {

@@ -3,8 +3,8 @@
  * JSON serialization of reports — the machine-readable counterpart of
  * the benches' text tables, for downstream plotting/tooling.
  *
- * The emitter is deliberately tiny (no external dependency): flat
- * objects, arrays of numbers, RFC 8259-compliant string escaping.
+ * Written with common::JsonWriter: compact, every double as "%.9g",
+ * and null for a non-finite one.
  */
 
 #ifndef CHASON_CORE_REPORT_JSON_H_
@@ -13,7 +13,7 @@
 #include <string>
 
 #include "arch/timing.h"
-#include "common/json_escape.h"
+#include "common/json.h"
 #include "core/engine.h"
 #include "core/schedule_cache.h"
 #include "core/spmm.h"
@@ -22,7 +22,7 @@
 namespace chason {
 namespace core {
 
-/** JSON string escaping; one implementation, in chason_common. */
+/** JSON string escaping, under the name code outside src/ uses. */
 using common::jsonEscape;
 
 /** One SpMV report as a JSON object. */

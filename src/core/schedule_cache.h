@@ -32,6 +32,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "arch/stream_soa.h"
 #include "common/thread_annotations.h"
@@ -131,7 +132,20 @@ class CachedSchedule
         return planBuilt_.load(std::memory_order_acquire);
     }
 
+    /**
+     * Run @p check on the schedule once per entry: the first caller
+     * runs it under std::call_once, concurrent callers wait for it and
+     * later callers return at once. The flag lives and dies with the
+     * entry, so a refilled entry is checked again.
+     */
+    template <typename Check>
+    void verifyOnce(Check &&check) const
+    {
+        std::call_once(verifyOnce_, std::forward<Check>(check), schedule);
+    }
+
   private:
+    mutable std::once_flag verifyOnce_;
     mutable std::atomic<std::uint64_t> uses_{0};
     mutable std::once_flag planOnce_;
     /** Written once, inside planOnce_; read after it. */

@@ -17,8 +17,8 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "common/json.h"
 #include "common/rng.h"
-#include "core/report_json.h"
 #include "serve/net.h"
 #include "sparse/dataset.h"
 #include "sparse/generators.h"
@@ -239,30 +239,31 @@ Daemon::handleLine(Connection &conn, const std::string &line)
         ++received_;
     }
 
-    PendingResponse pending;
     Request request;
     std::string error;
-    if (!parseRequest(line, request, error)) {
+    // One typed error line, counted under @p counter and, once the
+    // request has parsed, against its tenant.
+    const auto reject = [&](std::uint64_t Daemon::*counter, bool parsed,
+                            const char *type, const std::string &detail) {
         {
             common::MutexLock lock(statsMutex_);
-            ++badRequests_;
+            ++(this->*counter);
+            if (parsed)
+                ++tenants_[request.tenant].rejected;
         }
-        pending.line = errorResponse(request.hasId, request.id,
-                                     kErrBadRequest, error);
+        PendingResponse pending;
+        pending.line =
+            errorResponse(request.hasId, request.id, type, detail);
         push(conn, std::move(pending));
+    };
+    if (!parseRequest(line, request, error)) {
+        reject(&Daemon::badRequests_, false, kErrBadRequest, error);
         return;
     }
 
     if (stopping_.load(std::memory_order_acquire)) {
-        {
-            common::MutexLock lock(statsMutex_);
-            ++rejectedShutdown_;
-            ++tenants_[request.tenant].rejected;
-        }
-        pending.line = errorResponse(request.hasId, request.id,
-                                     kErrShuttingDown,
-                                     "daemon is shutting down");
-        push(conn, std::move(pending));
+        reject(&Daemon::rejectedShutdown_, true, kErrShuttingDown,
+               "daemon is shutting down");
         return;
     }
 
@@ -271,20 +272,11 @@ Daemon::handleLine(Connection &conn, const std::string &line)
         admission_.tryAdmit(request.tenant, admitSeconds);
     if (verdict != Admission::kAdmitted) {
         const bool overBudget = verdict == Admission::kOverBudget;
-        {
-            common::MutexLock lock(statsMutex_);
-            if (overBudget)
-                ++rejectedOverBudget_;
-            else
-                ++rejectedQueueFull_;
-            ++tenants_[request.tenant].rejected;
-        }
-        pending.line = errorResponse(
-            request.hasId, request.id,
-            overBudget ? kErrOverBudget : kErrQueueFull,
-            overBudget ? "tenant token budget exhausted"
-                       : "admission queue is full");
-        push(conn, std::move(pending));
+        reject(overBudget ? &Daemon::rejectedOverBudget_
+                          : &Daemon::rejectedQueueFull_,
+               true, overBudget ? kErrOverBudget : kErrQueueFull,
+               overBudget ? "tenant token budget exhausted"
+                          : "admission queue is full");
         return;
     }
 
@@ -292,14 +284,7 @@ Daemon::handleLine(Connection &conn, const std::string &line)
         materialize(request, error);
     if (matrix == nullptr) {
         admission_.release();
-        {
-            common::MutexLock lock(statsMutex_);
-            ++badRequests_;
-            ++tenants_[request.tenant].rejected;
-        }
-        pending.line = errorResponse(request.hasId, request.id,
-                                     kErrBadRequest, error);
-        push(conn, std::move(pending));
+        reject(&Daemon::badRequests_, true, kErrBadRequest, error);
         return;
     }
 
@@ -311,6 +296,7 @@ Daemon::handleLine(Connection &conn, const std::string &line)
     job.xSeed = request.xSeed;
     job.yOut = std::make_shared<std::vector<float>>();
 
+    PendingResponse pending;
     pending.isJob = true;
     pending.request = request;
     pending.yOut = job.yOut;
@@ -421,79 +407,66 @@ Daemon::statsJson() const
     const std::size_t queueMaxDepth = admission_.maxDepth();
     const double uptime = now();
 
+    const std::uint64_t diskProbes = cache.diskHits + cache.diskMisses;
+    const double diskHitRate = diskProbes > 0
+        ? static_cast<double>(cache.diskHits) /
+            static_cast<double>(diskProbes)
+        : 0.0;
+    constexpr const char *kStat = "%.6g";
+
     common::MutexLock lock(statsMutex_);
-    const bool haveLatency = !latency_.empty();
-    char buffer[1024];
-    std::string json = "{";
-    std::snprintf(buffer, sizeof(buffer),
-                  "\"uptime_s\":%.3f,\"workers\":%u,", uptime,
-                  engine_.workers());
-    json += buffer;
-    std::snprintf(
-        buffer, sizeof(buffer),
-        "\"requests\":{\"received\":%llu,\"served\":%llu,"
-        "\"bad_request\":%llu,\"over_budget\":%llu,"
-        "\"queue_full\":%llu,\"shutting_down\":%llu},",
-        static_cast<unsigned long long>(received_),
-        static_cast<unsigned long long>(served_),
-        static_cast<unsigned long long>(badRequests_),
-        static_cast<unsigned long long>(rejectedOverBudget_),
-        static_cast<unsigned long long>(rejectedQueueFull_),
-        static_cast<unsigned long long>(rejectedShutdown_));
-    json += buffer;
     // An idle daemon reports zeros: percentile() on an empty set is a
     // programmer error by contract, and a stats probe must never be.
-    std::snprintf(
-        buffer, sizeof(buffer),
-        "\"latency_ms\":{\"count\":%llu,\"mean\":%.6g,\"min\":%.6g,"
-        "\"max\":%.6g,\"p50\":%.6g,\"p95\":%.6g,\"p99\":%.6g},",
-        static_cast<unsigned long long>(latency_.count()),
-        haveLatency ? latency_.mean() : 0.0,
-        haveLatency ? latency_.min() : 0.0,
-        haveLatency ? latency_.max() : 0.0,
-        haveLatency ? latency_.percentile(50.0) : 0.0,
-        haveLatency ? latency_.percentile(95.0) : 0.0,
-        haveLatency ? latency_.percentile(99.0) : 0.0);
-    json += buffer;
-    std::snprintf(buffer, sizeof(buffer),
-                  "\"queue\":{\"depth\":%zu,\"max_depth\":%zu,"
-                  "\"capacity\":%zu},",
-                  queueDepth, queueMaxDepth, options_.queueCapacity);
-    json += buffer;
-    const std::uint64_t diskProbes = cache.diskHits + cache.diskMisses;
-    std::snprintf(
-        buffer, sizeof(buffer),
-        "\"cache\":{\"hits\":%llu,\"misses\":%llu,\"hit_rate\":%.6g,"
-        "\"disk_hits\":%llu,\"disk_misses\":%llu,"
-        "\"disk_hit_rate\":%.6g,\"persisted\":%llu,\"corrupt\":%llu,"
-        "\"evictions\":%llu,\"entries\":%zu,\"bytes\":%zu,"
-        "\"budget_bytes\":%zu},",
-        static_cast<unsigned long long>(cache.hits),
-        static_cast<unsigned long long>(cache.misses), cache.hitRate(),
-        static_cast<unsigned long long>(cache.diskHits),
-        static_cast<unsigned long long>(cache.diskMisses),
-        diskProbes > 0
-            ? static_cast<double>(cache.diskHits) /
-                static_cast<double>(diskProbes)
-            : 0.0,
-        static_cast<unsigned long long>(cache.persisted),
-        static_cast<unsigned long long>(cache.corrupt),
-        static_cast<unsigned long long>(cache.evictions),
-        cache.entries, cache.bytes, cache.budgetBytes);
-    json += buffer;
-    json += "\"tenants\":{";
-    bool first = true;
+    const bool haveLatency = !latency_.empty();
+    std::string json;
+    common::JsonWriter w(json);
+    w.beginObject()
+        .key("uptime_s").number(uptime, "%.3f")
+        .key("workers").integer(engine_.workers())
+        .key("requests").beginObject()
+        .key("received").integer(received_)
+        .key("served").integer(served_)
+        .key("bad_request").integer(badRequests_)
+        .key("over_budget").integer(rejectedOverBudget_)
+        .key("queue_full").integer(rejectedQueueFull_)
+        .key("shutting_down").integer(rejectedShutdown_)
+        .endObject()
+        .key("latency_ms").beginObject()
+        .key("count").integer(latency_.count())
+        .key("mean").number(haveLatency ? latency_.mean() : 0.0, kStat)
+        .key("min").number(haveLatency ? latency_.min() : 0.0, kStat)
+        .key("max").number(haveLatency ? latency_.max() : 0.0, kStat)
+        .key("p50").number(haveLatency ? latency_.percentile(50.0) : 0.0, kStat)
+        .key("p95").number(haveLatency ? latency_.percentile(95.0) : 0.0, kStat)
+        .key("p99").number(haveLatency ? latency_.percentile(99.0) : 0.0, kStat)
+        .endObject()
+        .key("queue").beginObject()
+        .key("depth").integer(queueDepth)
+        .key("max_depth").integer(queueMaxDepth)
+        .key("capacity").integer(options_.queueCapacity)
+        .endObject()
+        .key("cache").beginObject()
+        .key("hits").integer(cache.hits)
+        .key("misses").integer(cache.misses)
+        .key("hit_rate").number(cache.hitRate(), kStat)
+        .key("disk_hits").integer(cache.diskHits)
+        .key("disk_misses").integer(cache.diskMisses)
+        .key("disk_hit_rate").number(diskHitRate, kStat)
+        .key("persisted").integer(cache.persisted)
+        .key("corrupt").integer(cache.corrupt)
+        .key("evictions").integer(cache.evictions)
+        .key("entries").integer(cache.entries)
+        .key("bytes").integer(cache.bytes)
+        .key("budget_bytes").integer(cache.budgetBytes)
+        .endObject()
+        .key("tenants").beginObject();
     for (const auto &entry : tenants_) {
-        std::snprintf(
-            buffer, sizeof(buffer),
-            "%s\"%s\":{\"served\":%llu,\"rejected\":%llu}",
-            first ? "" : ",", core::jsonEscape(entry.first).c_str(),
-            static_cast<unsigned long long>(entry.second.served),
-            static_cast<unsigned long long>(entry.second.rejected));
-        json += buffer;
-        first = false;
+        w.key(entry.first).beginObject()
+            .key("served").integer(entry.second.served)
+            .key("rejected").integer(entry.second.rejected)
+            .endObject();
     }
-    json += "}}";
+    w.endObject().endObject();
     return json;
 }
 

@@ -5,18 +5,22 @@
 
 #include "serve/protocol.h"
 
+#include <algorithm>
 #include <bit>
 #include <cinttypes>
 #include <cstdio>
+#include <iterator>
 
 #include "common/hash.h"
-#include "core/report_json.h"
-#include "serve/json.h"
+#include "common/json.h"
 
 namespace chason {
 namespace serve {
 
 namespace {
+
+using common::JsonValue;
+using common::parseJson;
 
 /**
  * Geometry bounds enforced at parse time. SchedConfig::validate()
@@ -202,38 +206,35 @@ parseRequest(const std::string &line, Request &out, std::string &error)
     if (config != nullptr) {
         if (!config->isObject())
             return failParse(error, "field 'config' must be an object");
-        for (const auto &member : config->members) {
-            const std::string &key = member.first;
-            if (key != "channels" && key != "window" &&
-                key != "rows_per_lane" && key != "raw_distance" &&
-                key != "pes")
-                return failParse(error, "unknown config field '" + key +
-                                            "'");
-        }
+        struct Bound
+        {
+            const char *key;
+            std::uint64_t lo, hi;
+            std::uint32_t Request::*field;
+        };
         // migrationDepth defaults to 1, so channels needs >= 2.
-        std::uint64_t value = 0;
-        if (!boundedUint(*config, "channels", 2, kMaxChannels, value,
-                         error))
-            return false;
-        out.channels = static_cast<std::uint32_t>(value);
-        value = 0;
-        if (!boundedUint(*config, "window", 1, kMaxWindow, value, error))
-            return false;
-        out.window = static_cast<std::uint32_t>(value);
-        value = 0;
-        if (!boundedUint(*config, "rows_per_lane", 1, kMaxRowsPerLane,
-                         value, error))
-            return false;
-        out.rowsPerLane = static_cast<std::uint32_t>(value);
-        value = 0;
-        if (!boundedUint(*config, "raw_distance", 1, kMaxRawDistance,
-                         value, error))
-            return false;
-        out.rawDistance = static_cast<std::uint32_t>(value);
-        value = 0;
-        if (!boundedUint(*config, "pes", 1, kMaxPes, value, error))
-            return false;
-        out.pes = static_cast<std::uint32_t>(value);
+        const Bound bounds[] = {
+            {"channels", 2, kMaxChannels, &Request::channels},
+            {"window", 1, kMaxWindow, &Request::window},
+            {"rows_per_lane", 1, kMaxRowsPerLane, &Request::rowsPerLane},
+            {"raw_distance", 1, kMaxRawDistance, &Request::rawDistance},
+            {"pes", 1, kMaxPes, &Request::pes},
+        };
+        for (const auto &member : config->members) {
+            if (std::none_of(std::begin(bounds), std::end(bounds),
+                             [&](const Bound &b) {
+                                 return member.first == b.key;
+                             }))
+                return failParse(error, "unknown config field '" +
+                                            member.first + "'");
+        }
+        for (const Bound &bound : bounds) {
+            std::uint64_t value = 0;
+            if (!boundedUint(*config, bound.key, bound.lo, bound.hi, value,
+                             error))
+                return false;
+            out.*bound.field = static_cast<std::uint32_t>(value);
+        }
     }
 
     return true;
@@ -257,33 +258,43 @@ std::string
 resultResponse(const Request &request, const core::SpmvReport &report,
                std::uint64_t ydigest, double serviceMs)
 {
-    char buffer[512];
-    std::snprintf(
-        buffer, sizeof(buffer),
-        "{\"id\":%" PRIu64 ",\"ok\":true,\"dataset\":\"%s\","
-        "\"accelerator\":\"%s\",\"rows\":%" PRIu32 ",\"cols\":%" PRIu32
-        ",\"nnz\":%zu,\"cycles\":%" PRIu64
-        ",\"latency_ms\":%.17g,\"gflops\":%.17g,"
-        "\"functional_error\":%.17g,\"ydigest\":\"%016" PRIx64
-        "\",\"service_ms\":%.3f}",
-        request.id, core::jsonEscape(report.dataset).c_str(),
-        core::jsonEscape(report.accelerator).c_str(), report.rows,
-        report.cols, report.nnz, report.cycles, report.latencyMs,
-        report.gflops, report.functionalError, ydigest, serviceMs);
-    return buffer;
+    char digest[24];
+    std::snprintf(digest, sizeof(digest), "%016" PRIx64, ydigest);
+    std::string line;
+    common::JsonWriter(line)
+        .beginObject()
+        .key("id").integer(request.id)
+        .key("ok").boolean(true)
+        .key("dataset").string(report.dataset)
+        .key("accelerator").string(report.accelerator)
+        .key("rows").integer(report.rows)
+        .key("cols").integer(report.cols)
+        .key("nnz").integer(report.nnz)
+        .key("cycles").integer(report.cycles)
+        .key("latency_ms").number(report.latencyMs, "%.17g")
+        .key("gflops").number(report.gflops, "%.17g")
+        .key("functional_error").number(report.functionalError, "%.17g")
+        .key("ydigest").string(digest)
+        .key("service_ms").number(serviceMs, "%.3f")
+        .endObject();
+    return line;
 }
 
 std::string
 errorResponse(bool hasId, std::uint64_t id, const char *errorType,
               const std::string &detail)
 {
-    std::string line = "{\"id\":";
-    line += hasId ? std::to_string(id) : "null";
-    line += ",\"ok\":false,\"error\":\"";
-    line += errorType;
-    line += "\",\"detail\":\"";
-    line += core::jsonEscape(detail);
-    line += "\"}";
+    std::string line;
+    common::JsonWriter writer(line);
+    writer.beginObject().key("id");
+    if (hasId)
+        writer.integer(id);
+    else
+        writer.null();
+    writer.key("ok").boolean(false)
+        .key("error").string(errorType)
+        .key("detail").string(detail)
+        .endObject();
     return line;
 }
 

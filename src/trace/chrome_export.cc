@@ -5,12 +5,11 @@
 
 #include "trace/chrome_export.h"
 
-#include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
 
-#include "common/json_escape.h"
+#include "common/json.h"
 #include "common/logging.h"
 
 namespace chason {
@@ -18,43 +17,36 @@ namespace trace {
 
 namespace {
 
+using common::JsonWriter;
+
 constexpr int kDevicePid = 1;
 constexpr int kHostPid = 2;
 
+/** Every trace double: nine significant digits. */
+constexpr const char *kNumber = "%.9g";
+
+/** One metadata event; @p tid < 0 names the process instead. */
 void
-appendNumber(std::string &out, double value)
+metadata(JsonWriter &w, const char *kind, int pid, int tid,
+         const std::string &name)
 {
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.9g", value);
-    out += buf;
+    w.beginObject().key("name").string(kind).key("ph").string("M")
+        .key("pid").integer(pid);
+    if (tid >= 0)
+        w.key("tid").integer(tid);
+    w.key("args").beginObject().key("name").string(name).endObject()
+        .endObject();
 }
 
+/** {"name": value, ...} of an ordered integer map. */
+template <typename Map>
 void
-appendMetadata(std::string &out, const char *kind, int pid, int tid,
-               const std::string &name, bool &first)
+integerObject(JsonWriter &w, const char *key, const Map &values)
 {
-    if (!first)
-        out += ',';
-    first = false;
-    char buf[64];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"name\":\"%s\",\"ph\":\"M\",\"pid\":%d,", kind, pid);
-    out += buf;
-    if (tid >= 0) {
-        std::snprintf(buf, sizeof(buf), "\"tid\":%d,", tid);
-        out += buf;
-    }
-    out += "\"args\":{\"name\":\"" + common::jsonEscape(name) + "\"}}";
-}
-
-std::string
-deviceTrackName(std::uint32_t track)
-{
-    if (track == kTrackSequencer)
-        return "sequencer";
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "PEG %u", track);
-    return buf;
+    w.key(key).beginObject();
+    for (const auto &[name, value] : values)
+        w.key(name).integer(value);
+    w.endObject();
 }
 
 } // namespace
@@ -66,13 +58,14 @@ chromeTraceJson(const TraceSink &sink)
     const auto instants = sink.instants();
     const auto samples = sink.samples();
 
-    std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-    bool first = true;
+    std::string out;
+    JsonWriter w(out);
+    w.beginObject().key("displayTimeUnit").string("ms")
+        .key("traceEvents").beginArray();
 
-    appendMetadata(out, "process_name", kDevicePid, -1,
-                   "chason device (1 us = 1 kernel cycle)", first);
-    appendMetadata(out, "process_name", kHostPid, -1, "chason host",
-                   first);
+    metadata(w, "process_name", kDevicePid, -1,
+             "chason device (1 us = 1 kernel cycle)");
+    metadata(w, "process_name", kHostPid, -1, "chason host");
 
     std::set<std::uint32_t> device_tracks, host_tracks;
     for (const SpanEvent &s : spans)
@@ -80,85 +73,54 @@ chromeTraceJson(const TraceSink &sink)
     for (const InstantEvent &i : instants)
         host_tracks.insert(i.track);
     for (std::uint32_t t : device_tracks) {
-        appendMetadata(out, "thread_name", kDevicePid,
-                       static_cast<int>(t == kTrackSequencer ? 0xffff : t),
-                       deviceTrackName(t), first);
+        const bool sequencer = t == kTrackSequencer;
+        metadata(w, "thread_name", kDevicePid,
+                 static_cast<int>(sequencer ? 0xffff : t),
+                 sequencer ? "sequencer" : "PEG " + std::to_string(t));
     }
     for (std::uint32_t t : host_tracks) {
-        char name[24];
-        std::snprintf(name, sizeof(name), "host thread %u", t);
-        appendMetadata(out, "thread_name", kHostPid, static_cast<int>(t),
-                       name, first);
+        metadata(w, "thread_name", kHostPid, static_cast<int>(t),
+                 "host thread " + std::to_string(t));
     }
 
     for (const SpanEvent &s : spans) {
-        if (!first)
-            out += ',';
-        first = false;
-        out += "{\"ph\":\"X\",\"name\":\"" + common::jsonEscape(s.name) +
-            "\",\"cat\":\"";
-        out += categoryName(s.cat);
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "\",\"pid\":%d,\"tid\":%u,",
-                      s.device ? kDevicePid : kHostPid, s.track);
-        out += buf;
-        out += "\"ts\":";
-        appendNumber(out, s.begin);
-        out += ",\"dur\":";
-        appendNumber(out, s.dur);
+        w.beginObject().key("ph").string("X").key("name").string(s.name)
+            .key("cat").string(categoryName(s.cat))
+            .key("pid").integer(s.device ? kDevicePid : kHostPid)
+            .key("tid").integer(s.track)
+            .key("ts").number(s.begin, kNumber)
+            .key("dur").number(s.dur, kNumber);
         if (s.argName0) {
-            out += ",\"args\":{\"";
-            out += s.argName0;
-            out += "\":";
-            appendNumber(out, static_cast<double>(s.argVal0));
+            w.key("args").beginObject().key(s.argName0)
+                .number(static_cast<double>(s.argVal0), kNumber);
             if (s.argName1) {
-                out += ",\"";
-                out += s.argName1;
-                out += "\":";
-                appendNumber(out, static_cast<double>(s.argVal1));
+                w.key(s.argName1)
+                    .number(static_cast<double>(s.argVal1), kNumber);
             }
-            out += '}';
+            w.endObject();
         }
-        out += '}';
+        w.endObject();
     }
 
     for (const InstantEvent &i : instants) {
-        if (!first)
-            out += ',';
-        first = false;
-        char buf[64];
-        std::snprintf(buf, sizeof(buf),
-                      "\",\"s\":\"t\",\"pid\":%d,\"tid\":%u,\"ts\":",
-                      kHostPid, i.track);
-        out += "{\"ph\":\"i\",\"name\":\"" + common::jsonEscape(i.name) +
-            buf;
-        appendNumber(out, i.tsUs);
-        out += '}';
+        w.beginObject().key("ph").string("i").key("name").string(i.name)
+            .key("s").string("t").key("pid").integer(kHostPid)
+            .key("tid").integer(i.track)
+            .key("ts").number(i.tsUs, kNumber)
+            .endObject();
     }
 
     for (const CounterSample &c : samples) {
-        if (!first)
-            out += ',';
-        first = false;
-        char buf[48];
-        std::snprintf(buf, sizeof(buf),
-                      "\",\"pid\":%d,\"tid\":0,\"ts\":", kHostPid);
-        out += "{\"ph\":\"C\",\"name\":\"" + common::jsonEscape(c.name) +
-            buf;
-        appendNumber(out, c.tsUs);
-        out += ",\"args\":{\"value\":";
-        appendNumber(out, c.value);
-        out += "}}";
+        w.beginObject().key("ph").string("C").key("name").string(c.name)
+            .key("pid").integer(kHostPid).key("tid").integer(0)
+            .key("ts").number(c.tsUs, kNumber)
+            .key("args").beginObject().key("value")
+            .number(c.value, kNumber).endObject()
+            .endObject();
     }
 
-    out += "]}";
+    w.endArray().endObject();
     return out;
-}
-
-void
-writeChromeTrace(const TraceSink &sink, std::ostream &out)
-{
-    out << chromeTraceJson(sink);
 }
 
 void
@@ -167,7 +129,7 @@ writeChromeTraceFile(const TraceSink &sink, const std::string &path)
     std::ofstream out(path);
     if (!out)
         chason_fatal("cannot create trace file '%s'", path.c_str());
-    writeChromeTrace(sink, out);
+    out << chromeTraceJson(sink);
     if (!out.good())
         chason_fatal("failed writing trace file '%s'", path.c_str());
 }
@@ -175,43 +137,17 @@ writeChromeTraceFile(const TraceSink &sink, const std::string &path)
 std::string
 countersJson(const TraceSink &sink)
 {
-    std::string out = "{\"counters\":{";
-    bool first = true;
-    for (const auto &[name, value] : sink.counters()) {
-        if (!first)
-            out += ',';
-        first = false;
-        out += '"' + common::jsonEscape(name) + "\":";
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%llu",
-                      static_cast<unsigned long long>(value));
-        out += buf;
-    }
-    out += "},\"category_cycles\":{";
-    first = true;
-    for (const auto &[name, value] : sink.categoryCycles()) {
-        if (!first)
-            out += ',';
-        first = false;
-        out += '"' + common::jsonEscape(name) + "\":";
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%llu",
-                      static_cast<unsigned long long>(value));
-        out += buf;
-    }
-    out += "},\"peg_matrix_stream_cycles\":[";
-    first = true;
+    std::string out;
+    JsonWriter w(out);
+    w.beginObject();
+    integerObject(w, "counters", sink.counters());
+    integerObject(w, "category_cycles", sink.categoryCycles());
+    w.key("peg_matrix_stream_cycles").beginArray();
     for (const auto &[track, value] : sink.pegStreamCycles()) {
         (void)track;
-        if (!first)
-            out += ',';
-        first = false;
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%llu",
-                      static_cast<unsigned long long>(value));
-        out += buf;
+        w.integer(value);
     }
-    out += "]}";
+    w.endArray().endObject();
     return out;
 }
 

@@ -14,7 +14,6 @@
 #ifndef CHASON_TRACE_CHROME_EXPORT_H_
 #define CHASON_TRACE_CHROME_EXPORT_H_
 
-#include <iosfwd>
 #include <string>
 
 #include "trace/trace.h"
@@ -24,9 +23,6 @@ namespace trace {
 
 /** The complete Chrome trace_event JSON document for @p sink. */
 std::string chromeTraceJson(const TraceSink &sink);
-
-/** Stream chromeTraceJson(@p sink) to @p out. */
-void writeChromeTrace(const TraceSink &sink, std::ostream &out);
 
 /** Write the Chrome trace to @p path; fatal() when unwritable. */
 void writeChromeTraceFile(const TraceSink &sink, const std::string &path);

@@ -2,9 +2,10 @@
  * @file
  * SARIF 2.1.0 writer.
  *
- * Hand-rolled JSON emission in the repo's report_json tradition: the
- * document shape is fixed, so a serializer dependency would buy
- * nothing. Property order follows the SARIF spec's examples.
+ * The log keeps a fixed, indented layout that tests pin, so it is
+ * written here rather than with the compact common::JsonWriter; its
+ * strings go through common::jsonEscape. Property order follows the
+ * SARIF spec's examples.
  */
 
 #include "verify/sarif.h"
@@ -14,7 +15,7 @@
 
 #include "common/buildinfo.h"
 #include "common/hash.h"
-#include "common/json_escape.h"
+#include "common/json.h"
 #include "verify/rules.h"
 
 namespace chason {
@@ -277,15 +278,25 @@ std::vector<std::string>
 sarifFingerprints(const std::string &sarifJson)
 {
     std::vector<std::string> out;
-    const std::string needle = "\"chasonLint/v1\": \"";
-    std::size_t pos = 0;
-    while ((pos = sarifJson.find(needle, pos)) != std::string::npos) {
-        pos += needle.size();
-        const std::size_t end = sarifJson.find('"', pos);
-        if (end == std::string::npos)
-            break;
-        out.push_back(sarifJson.substr(pos, end - pos));
-        pos = end + 1;
+    common::JsonValue log;
+    std::string error;
+    if (!common::parseJson(sarifJson, log, error))
+        return out;
+    const common::JsonValue *runs = log.find("runs");
+    if (runs == nullptr)
+        return out;
+    for (const common::JsonValue &run : runs->items) {
+        const common::JsonValue *results = run.find("results");
+        if (results == nullptr)
+            continue;
+        for (const common::JsonValue &result : results->items) {
+            const common::JsonValue *fingerprints =
+                result.find("partialFingerprints");
+            std::string fingerprint;
+            if (fingerprints != nullptr &&
+                fingerprints->getString("chasonLint/v1", fingerprint))
+                out.push_back(std::move(fingerprint));
+        }
     }
     return out;
 }

@@ -30,6 +30,8 @@ struct EstCase
      *  instStream, launch} of the default Chasoň and Serpens runs. */
     CycleBreakdown chason;
     CycleBreakdown serpens;
+    /** SchedConfig::rowsPerLanePerPass; 0 keeps the default. */
+    std::uint32_t rowsPerLanePerPass = 0;
 };
 
 void
@@ -69,6 +71,14 @@ cases()
         {"mycielskian", 7, [](Rng &) { return sparse::mycielskian(7); },
          {70, 9, 48, 32, 9, 1, 61},
          {461, 6, 48, 0, 6, 1, 45}},
+        // 3 rows per lane x 128 lanes = 384 rows per pass: passes of
+        // 384, 384 and a short 232, so the per-pass reduction drain
+        // and the last pass's shallower banks are both pinned.
+        {"multipass3", 8,
+         [](Rng &r) { return sparse::erdosRenyi(1000, 300, 6000, r); },
+         {75, 33, 144, 96, 87, 3, 61},
+         {416, 19, 144, 0, 63, 3, 45},
+         3},
     };
 }
 
@@ -106,6 +116,15 @@ expectGolden(const Accelerator &accel, const sched::Schedule &sch,
     EXPECT_NEAR(timeline.latencyUs, golden_us, 1e-9);
 }
 
+ArchConfig
+configFor(const EstCase &c)
+{
+    ArchConfig cfg;
+    if (c.rowsPerLanePerPass != 0)
+        cfg.sched.rowsPerLanePerPass = c.rowsPerLanePerPass;
+    return cfg;
+}
+
 class TimelineGolden : public ::testing::TestWithParam<EstCase>
 {
 };
@@ -115,7 +134,7 @@ TEST_P(TimelineGolden, ChasonCyclesExact)
     Rng rng(GetParam().seed);
     const sparse::CsrMatrix a = GetParam().make(rng);
     const std::vector<float> x = sparse::randomVector(a.cols(), rng);
-    const ArchConfig cfg;
+    const ArchConfig cfg = configFor(GetParam());
     const sched::Schedule sch =
         sched::CrhcsScheduler(cfg.sched).schedule(a);
     expectGolden(ChasonAccelerator(cfg), sch, x, GetParam().chason);
@@ -126,7 +145,7 @@ TEST_P(TimelineGolden, SerpensCyclesExact)
     Rng rng(GetParam().seed + 100);
     const sparse::CsrMatrix a = GetParam().make(rng);
     const std::vector<float> x = sparse::randomVector(a.cols(), rng);
-    ArchConfig cfg;
+    ArchConfig cfg = configFor(GetParam());
     cfg.sched.migrationDepth = 0;
     const sched::Schedule sch =
         sched::PeAwareScheduler(cfg.sched).schedule(a);

@@ -302,6 +302,67 @@ TEST(BatchEngine, SecondUseOfAnEntryBuildsExactlyOnePlan)
         expectIdentical(once.reports[0], report);
 }
 
+TEST(BatchEngine, VerifyingRefilledEntriesChangesNoReport)
+{
+    // A one-byte budget keeps only the newest entry, so alternating two
+    // matrices evicts and refills on every lookup, and every refill is
+    // a new entry that is verified again.
+    auto runBatch = [](bool verify) {
+        BatchOptions options;
+        options.workers = 1;
+        options.cacheBudgetBytes = 1;
+        options.verifySchedules = verify;
+        BatchEngine batch(options);
+        for (std::uint64_t i = 0; i < 6; ++i)
+            batch.submit(job(1 + i % 2, Engine::Kind::Chason,
+                             "refill" + std::to_string(i)));
+        return batch.drain();
+    };
+
+    const BatchReport plain = runBatch(false);
+    const BatchReport verified = runBatch(true);
+    EXPECT_EQ(verified.cache.misses, 6u);
+    EXPECT_EQ(verified.cache.evictions, 5u);
+    ASSERT_EQ(plain.reports.size(), verified.reports.size());
+    for (std::size_t i = 0; i < plain.reports.size(); ++i)
+        expectIdentical(plain.reports[i], verified.reports[i]);
+}
+
+TEST(BatchEngine, ConcurrentFirstUsesVerifyAnEntryOnce)
+{
+    BatchOptions options;
+    options.workers = 4;
+    options.verifySchedules = true;
+    BatchEngine batch(options);
+    const auto a = std::make_shared<const sparse::CsrMatrix>(matrix(7));
+    for (unsigned copy = 0; copy < 4; ++copy) {
+        BatchJob j = job(7, Engine::Kind::Chason, "verify");
+        j.matrix = a;
+        batch.submit(std::move(j));
+    }
+    const BatchReport report = batch.drain();
+    ASSERT_EQ(report.reports.size(), 4u);
+    for (const SpmvReport &r : report.reports)
+        expectIdentical(report.reports[0], r);
+
+    // The entry is verified: a later check does not run.
+    const Engine engine(Engine::Kind::Chason, smallConfig());
+    std::atomic<unsigned> checks{0};
+    const auto verifiedEntry = batch.cache().lookup(engine.scheduler(), *a);
+    verifiedEntry->verifyOnce(
+        [&](const sched::Schedule &) { checks.fetch_add(1); });
+    EXPECT_EQ(checks.load(), 0u);
+
+    // Four workers at a fresh entry's first use: one check between them.
+    const auto b = std::make_shared<const sparse::CsrMatrix>(matrix(8));
+    const auto fresh = batch.cache().lookup(engine.scheduler(), *b);
+    batch.parallelFor(4, [&](std::size_t) {
+        fresh->verifyOnce(
+            [&](const sched::Schedule &) { checks.fetch_add(1); });
+    });
+    EXPECT_EQ(checks.load(), 1u);
+}
+
 TEST(BatchEngine, DuplicateJobsHitTheSharedCache)
 {
     BatchOptions options;

@@ -314,6 +314,46 @@ TEST(ServeDaemon, MalformedMatrixFileIsABadRequest)
     daemon.shutdown();
 }
 
+TEST(ServeDaemon, LongPathResponseIsOneParsableLine)
+{
+    // The dataset label echoes the request's path, so a long path makes
+    // a long response line; it must come back whole and parsable.
+    std::string mtx = ::testing::TempDir();
+    while (mtx.size() < 320)
+        mtx += "./";
+    mtx += "chason_long_path.mtx";
+    std::FILE *f = std::fopen(mtx.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs("%%MatrixMarket matrix coordinate real general\n"
+               "3 3 4\n1 1 1.0\n2 2 2.0\n3 1 -1.5\n3 3 0.5\n",
+               f);
+    std::fclose(f);
+
+    DaemonOptions options;
+    options.socketPath = socketPath("long_path");
+    Daemon daemon(options);
+    std::string error;
+    ASSERT_TRUE(daemon.start(&error)) << error;
+    const int fd = connectUnixSocket(options.socketPath, &error);
+    ASSERT_GE(fd, 0) << error;
+    LineReader reader(fd);
+
+    ASSERT_TRUE(sendAll(fd, "{\"id\":1,\"path\":\"" + mtx + "\"}\n"));
+    const JsonValue v = readResponse(reader);
+    ASSERT_NE(v.find("ok"), nullptr);
+    EXPECT_TRUE(v.find("ok")->boolean);
+    std::string dataset;
+    EXPECT_TRUE(v.getString("dataset", dataset));
+    EXPECT_EQ(dataset, "path:" + mtx);
+    std::uint64_t nnz = 0;
+    EXPECT_TRUE(v.getUint("nnz", nnz));
+    EXPECT_EQ(nnz, 4u);
+
+    ::close(fd);
+    daemon.shutdown();
+    std::remove(mtx.c_str());
+}
+
 TEST(ServeDaemon, QosThrottlesOneTenantWithoutTouchingAnother)
 {
     DaemonOptions options;

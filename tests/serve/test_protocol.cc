@@ -1,7 +1,6 @@
 /**
  * @file
- * Unit tests for the serving layer's pure parts: the JSON parser, the
- * request parser with its protocol-boundary bounds (nothing a client
+ * Unit tests for the serving layer's pure parts: the request parser with its protocol-boundary bounds (nothing a client
  * sends may reach a fatal SchedConfig::validate()), response
  * rendering, the y-vector digest, and deterministic token-bucket /
  * admission-control behavior with caller-supplied time.
@@ -10,6 +9,7 @@
 #include "serve/admission.h"
 #include "serve/json.h"
 #include "serve/protocol.h"
+#include "sparse/formats.h"
 
 #include <cctype>
 #include <cmath>
@@ -22,78 +22,6 @@
 namespace chason {
 namespace serve {
 namespace {
-
-// ---------------------------------------------------------------- JSON
-
-TEST(ServeJson, ParsesNestedDocument)
-{
-    JsonValue v;
-    std::string error;
-    ASSERT_TRUE(parseJson(
-        R"({"a":1,"b":[true,null,"x\n\u0041"],"c":{"d":-2.5}})", v,
-        error))
-        << error;
-    ASSERT_TRUE(v.isObject());
-    std::uint64_t a = 0;
-    EXPECT_TRUE(v.getUint("a", a));
-    EXPECT_EQ(a, 1u);
-    const JsonValue *b = v.find("b");
-    ASSERT_NE(b, nullptr);
-    ASSERT_TRUE(b->isArray());
-    ASSERT_EQ(b->items.size(), 3u);
-    EXPECT_TRUE(b->items[0].isBool());
-    EXPECT_TRUE(b->items[0].boolean);
-    EXPECT_TRUE(b->items[1].isNull());
-    EXPECT_EQ(b->items[2].text, "x\nA");
-    const JsonValue *c = v.find("c");
-    ASSERT_NE(c, nullptr);
-    const JsonValue *d = c->find("d");
-    ASSERT_NE(d, nullptr);
-    EXPECT_DOUBLE_EQ(d->number, -2.5);
-}
-
-TEST(ServeJson, RejectsMalformedInput)
-{
-    JsonValue v;
-    std::string error;
-    EXPECT_FALSE(parseJson("", v, error));
-    EXPECT_FALSE(parseJson("{", v, error));
-    EXPECT_FALSE(parseJson("{\"a\":1,}", v, error));
-    EXPECT_FALSE(parseJson("{\"a\":1} garbage", v, error));
-    EXPECT_FALSE(parseJson("{\"a\":01}", v, error));
-    EXPECT_FALSE(parseJson("\"\\q\"", v, error));
-    EXPECT_FALSE(parseJson("nul", v, error));
-}
-
-TEST(ServeJson, CapsNestingDepth)
-{
-    std::string deep;
-    for (int i = 0; i < 64; ++i)
-        deep += "[";
-    for (int i = 0; i < 64; ++i)
-        deep += "]";
-    JsonValue v;
-    std::string error;
-    EXPECT_FALSE(parseJson(deep, v, error));
-    EXPECT_NE(error.find("depth"), std::string::npos);
-}
-
-TEST(ServeJson, GetUintRejectsNonIntegers)
-{
-    JsonValue v;
-    std::string error;
-    ASSERT_TRUE(parseJson(
-        R"({"frac":1.5,"neg":-1,"big":1e300,"ok":9007199254740992})", v,
-        error));
-    std::uint64_t out = 7;
-    EXPECT_FALSE(v.getUint("frac", out));
-    EXPECT_FALSE(v.getUint("neg", out));
-    EXPECT_FALSE(v.getUint("big", out));
-    EXPECT_FALSE(v.getUint("absent", out));
-    EXPECT_EQ(out, 7u); // untouched on failure
-    EXPECT_TRUE(v.getUint("ok", out));
-    EXPECT_EQ(out, 9007199254740992u); // 2^53, the inclusive cap
-}
 
 // ------------------------------------------------------------ requests
 
@@ -344,6 +272,54 @@ TEST(ServeProtocol, ResponsesRoundTripThroughTheParser)
                           v, error));
     ASSERT_NE(v.find("id"), nullptr);
     EXPECT_TRUE(v.find("id")->isNull());
+
+    // A response has no length limit: a long path label and a long
+    // error detail each come back whole, as one parsable line.
+    report.dataset = "path:/" + std::string(640, 'd') + "/m.mtx";
+    const std::string line =
+        resultResponse(request, report, 0xabcdef0123456789ull, 2.5);
+    EXPECT_GT(line.size(), 600u);
+    EXPECT_EQ(line.find('\n'), std::string::npos);
+    ASSERT_TRUE(parseJson(line, v, error)) << error;
+    std::string dataset;
+    EXPECT_TRUE(v.getString("dataset", dataset));
+    EXPECT_EQ(dataset, report.dataset);
+    EXPECT_TRUE(v.getUint("cycles", cycles));
+    EXPECT_EQ(cycles, 999u);
+
+    const std::string longDetail = std::string(700, 'e') + "\"\n";
+    ASSERT_TRUE(parseJson(errorResponse(true, 34, kErrBadRequest,
+                                        longDetail),
+                          v, error))
+        << error;
+    EXPECT_TRUE(v.getString("detail", detail));
+    EXPECT_EQ(detail, longDetail);
+}
+
+TEST(ServeProtocol, NonFiniteFunctionalErrorIsNull)
+{
+    // One row of 64 values of 3e38 overflows y's float sum, so the
+    // functional error against the double reference is infinite. JSON
+    // has no Inf: the response must still parse, carrying null.
+    std::vector<sparse::Triplet> entries;
+    for (std::uint32_t col = 0; col < 64; ++col)
+        entries.push_back({0, col, 3e38f});
+    const sparse::CsrMatrix a(1, 64, entries);
+    const std::vector<float> x(64, 1.0f);
+    const core::SpmvReport report =
+        core::Engine(core::Engine::Kind::Chason)
+            .run(a, x, "path:overflow.mtx");
+    ASSERT_FALSE(std::isfinite(report.functionalError));
+
+    Request request;
+    request.id = 5;
+    JsonValue v;
+    std::string error;
+    const std::string line = resultResponse(request, report, 0, 1.0);
+    ASSERT_TRUE(parseJson(line, v, error)) << line << ": " << error;
+    ASSERT_NE(v.find("functional_error"), nullptr);
+    EXPECT_TRUE(v.find("functional_error")->isNull());
+    EXPECT_NE(line.find("\"functional_error\":null"), std::string::npos);
 }
 
 TEST(ServeProtocol, VectorDigestSeparatesBitPatterns)

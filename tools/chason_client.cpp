@@ -31,9 +31,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "common/json.h"
 #include "common/rng.h"
 #include "core/engine.h"
-#include "serve/json.h"
 #include "serve/net.h"
 #include "serve/protocol.h"
 #include "sparse/generators.h"
@@ -70,14 +70,19 @@ std::string
 requestLine(std::uint64_t id, const CatalogEntry &entry,
             const char *tenant)
 {
-    char buffer[256];
-    std::snprintf(
-        buffer, sizeof(buffer),
-        "{\"id\":%" PRIu64 ",\"tenant\":\"%s\",\"rmat\":{\"scale\":%u,"
-        "\"edges\":%" PRIu64 ",\"seed\":%" PRIu64
-        "},\"xseed\":%" PRIu64 "}",
-        id, tenant, entry.scale, entry.edges, entry.seed, entry.xseed);
-    return buffer;
+    std::string line;
+    common::JsonWriter(line)
+        .beginObject()
+        .key("id").integer(id)
+        .key("tenant").string(tenant)
+        .key("rmat").beginObject()
+        .key("scale").integer(entry.scale)
+        .key("edges").integer(entry.edges)
+        .key("seed").integer(entry.seed)
+        .endObject()
+        .key("xseed").integer(entry.xseed)
+        .endObject();
+    return line;
 }
 
 /** The daemon's exact pipeline, recomputed locally: digest of y. */
@@ -116,20 +121,13 @@ void
 checkResponse(const std::string &line, std::uint64_t expectedId,
               const std::string &expectedDigest, Tally &tally)
 {
-    serve::JsonValue response;
+    common::JsonValue response;
     std::string error;
-    if (!serve::parseJson(line, response, error) ||
-        !response.isObject()) {
-        ++tally.malformed;
-        return;
-    }
     std::uint64_t id = 0;
-    if (!response.getUint("id", id) || id != expectedId) {
-        ++tally.malformed;
-        return;
-    }
-    const serve::JsonValue *ok = response.find("ok");
-    if (ok == nullptr || ok->type != serve::JsonValue::Type::Bool) {
+    const common::JsonValue *ok = nullptr;
+    if (!common::parseJson(line, response, error) ||
+        !response.getUint("id", id) || id != expectedId ||
+        (ok = response.find("ok")) == nullptr || !ok->isBool()) {
         ++tally.malformed;
         return;
     }
@@ -169,6 +167,13 @@ replayConnection(const char *socketPath, const char *tenant,
     std::size_t head = 0;
     std::string line;
     bool dead = false;
+    const auto checkNext = [&] {
+        const auto &expected = outstanding[head++];
+        checkResponse(line, expected.first,
+                      digests.empty() ? std::string()
+                                      : digests[expected.second],
+                      tally);
+    };
     for (std::uint64_t i = 0; i < requests && !dead; ++i) {
         // Pacing keeps the replay tenant under the daemon's sustained
         // rate so only the (unpaced) flood phase trips QoS.
@@ -190,20 +195,11 @@ replayConnection(const char *socketPath, const char *tenant,
                 dead = true;
                 break;
             }
-            const auto &expected = outstanding[head++];
-            checkResponse(line, expected.first,
-                          digests.empty() ? std::string()
-                                          : digests[expected.second],
-                          tally);
+            checkNext();
         }
     }
-    while (head < outstanding.size() && reader.readLine(line)) {
-        const auto &expected = outstanding[head++];
-        checkResponse(line, expected.first,
-                      digests.empty() ? std::string()
-                                      : digests[expected.second],
-                      tally);
-    }
+    while (head < outstanding.size() && reader.readLine(line))
+        checkNext();
     tally.malformed += outstanding.size() - head; // lost responses
     ::close(fd);
 }
@@ -237,10 +233,10 @@ floodPhase(const char *socketPath, std::uint64_t count,
     answered = 0;
     while (reader.readLine(line)) {
         ++answered;
-        serve::JsonValue response;
+        common::JsonValue response;
         std::string parseError;
         std::string type;
-        if (serve::parseJson(line, response, parseError) &&
+        if (common::parseJson(line, response, parseError) &&
             response.getString("error", type) && type == "over_budget")
             ++overBudget;
     }
@@ -357,14 +353,21 @@ main(int argc, char **argv)
             connectFailed = true;
     }
 
-    std::printf("{\"sent\":%" PRIu64 ",\"ok\":%" PRIu64
-                ",\"errors\":%" PRIu64 ",\"mismatches\":%" PRIu64
-                ",\"malformed\":%" PRIu64 ",\"flood\":{\"sent\":%u,"
-                "\"answered\":%" PRIu64 ",\"over_budget\":%" PRIu64
-                "}}\n",
-                total.sent, total.ok, total.errors, total.mismatches,
-                total.malformed, flood, floodAnswered,
-                connectFailed ? 0 : overBudget);
+    std::string summary;
+    common::JsonWriter(summary)
+        .beginObject()
+        .key("sent").integer(total.sent)
+        .key("ok").integer(total.ok)
+        .key("errors").integer(total.errors)
+        .key("mismatches").integer(total.mismatches)
+        .key("malformed").integer(total.malformed)
+        .key("flood").beginObject()
+        .key("sent").integer(flood)
+        .key("answered").integer(floodAnswered)
+        .key("over_budget").integer(connectFailed ? 0 : overBudget)
+        .endObject()
+        .endObject();
+    std::printf("%s\n", summary.c_str());
 
     if (connectFailed)
         return 3;

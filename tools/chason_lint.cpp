@@ -55,6 +55,7 @@
 #include <vector>
 
 #include "common/buildinfo.h"
+#include "common/json.h"
 #include "core/thread_pool.h"
 #include "tool_flags.h"
 #include "verify/sarif.h"
@@ -563,15 +564,14 @@ compileDatabaseFiles(const fs::path &buildDir, const fs::path &root)
     const std::string text =
         readFile(buildDir / "compile_commands.json");
     std::vector<std::string> out;
-    const std::string needle = "\"file\": \"";
-    std::size_t pos = 0;
-    while ((pos = text.find(needle, pos)) != std::string::npos) {
-        pos += needle.size();
-        const std::size_t end = text.find('"', pos);
-        if (end == std::string::npos)
-            break;
-        std::string file = text.substr(pos, end - pos);
-        pos = end + 1;
+    chason::common::JsonValue database;
+    std::string error;
+    if (!chason::common::parseJson(text, database, error))
+        return out;
+    for (const chason::common::JsonValue &command : database.items) {
+        std::string file;
+        if (!command.getString("file", file))
+            continue;
         const std::string generic = fs::path(file).generic_string();
         if (generic.rfind(root.generic_string(), 0) != 0)
             continue; // out-of-tree TU (_deps etc.)

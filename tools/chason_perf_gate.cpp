@@ -31,17 +31,19 @@
  * Exit status: 0 pass, 1 below a band, 2 usage error, 3 tier-set
  * mismatch.
  *
- * The reader is deliberately minimal: it understands exactly the
- * one-tier-object-per-line layout bench::writePerfJson produces, not
- * general JSON.
+ * Reports are read with the JSON parser: each element of "tiers" with
+ * a string "tier" and a number at the compared field is one record,
+ * however the document is laid out.
  */
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "tool_flags.h"
 
 namespace {
@@ -59,53 +61,43 @@ constexpr const char *kHelpEpilogue =
 struct TierReading
 {
     std::string tier;
-    double throughputPerS = 0.0;
-    double medianMs = 0.0;
+    double throughputPerS = 0.0; ///< the compared field's value
 };
 
-/** Extract `"key":` followed by a number from @p line, or NAN. */
-bool
-numberField(const std::string &line, const char *key, double &out)
+[[noreturn]] void
+usageError(const std::string &message)
 {
-    const std::string needle = std::string("\"") + key + "\":";
-    const std::size_t pos = line.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    out = std::strtod(line.c_str() + pos + needle.size(), nullptr);
-    return true;
+    std::fprintf(stderr, "perf-gate: %s\n", message.c_str());
+    std::exit(2);
 }
 
 std::vector<TierReading>
 readReport(const char *path, const char *field)
 {
-    std::FILE *f = std::fopen(path, "r");
-    if (f == nullptr) {
-        std::fprintf(stderr, "perf-gate: cannot open %s\n", path);
-        std::exit(2);
-    }
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        usageError(std::string("cannot open ") + path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    chason::common::JsonValue report;
+    std::string error;
+    if (!chason::common::parseJson(text.str(), report, error))
+        usageError(std::string(path) + ": " + error);
     std::vector<TierReading> out;
-    char buf[1024];
-    while (std::fgets(buf, sizeof(buf), f) != nullptr) {
-        const std::string line = buf;
-        const std::size_t pos = line.find("\"tier\":\"");
-        if (pos == std::string::npos)
-            continue;
-        const std::size_t start = pos + std::strlen("\"tier\":\"");
-        const std::size_t end = line.find('"', start);
-        if (end == std::string::npos)
-            continue;
-        TierReading r;
-        r.tier = line.substr(start, end - start);
-        if (!numberField(line, field, r.throughputPerS))
-            continue;
-        numberField(line, "median_ms", r.medianMs);
-        out.push_back(r);
+    const chason::common::JsonValue *tiers = report.find("tiers");
+    if (tiers != nullptr) {
+        for (const chason::common::JsonValue &tier : tiers->items) {
+            TierReading r;
+            const chason::common::JsonValue *value = tier.find(field);
+            if (!tier.getString("tier", r.tier) || value == nullptr ||
+                !value->isNumber())
+                continue;
+            r.throughputPerS = value->number;
+            out.push_back(r);
+        }
     }
-    std::fclose(f);
-    if (out.empty()) {
-        std::fprintf(stderr, "perf-gate: no tier records in %s\n", path);
-        std::exit(2);
-    }
+    if (out.empty())
+        usageError(std::string("no tier records in ") + path);
     return out;
 }
 

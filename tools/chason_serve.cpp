@@ -22,8 +22,10 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <string>
 #include <thread>
 
+#include "common/json.h"
 #include "serve/daemon.h"
 #include "tool_flags.h"
 
@@ -127,7 +129,13 @@ main(int argc, char **argv)
     action.sa_handler = SIG_IGN;
     sigaction(SIGPIPE, &action, nullptr);
 
-    std::printf("{\"ready\":true,\"socket\":\"%s\"}\n", socketPath);
+    std::string ready;
+    chason::common::JsonWriter(ready)
+        .beginObject()
+        .key("ready").boolean(true)
+        .key("socket").string(socketPath)
+        .endObject();
+    std::printf("%s\n", ready.c_str());
     std::fflush(stdout);
 
     while (g_terminate == 0) {

@@ -77,17 +77,18 @@ emitLine(core::BatchEngine &batch, const std::string &name,
     const std::vector<float> x = sparse::randomVector(a.cols(), rng);
     const core::Comparison cmp = batch.compare(a, x, name);
 
-    std::string line = core::toJson(cmp);
-    char e2e[192];
-    std::snprintf(e2e, sizeof(e2e),
-                  ",\"end_to_end\":{\"iterations\":%u,"
-                  "\"chason_amortized_us\":%.9g,"
-                  "\"serpens_amortized_us\":%.9g}}",
-                  kAmortizationIterations,
-                  amortizedUs(batch, core::Engine::Kind::Chason, a),
-                  amortizedUs(batch, core::Engine::Kind::Serpens, a));
-    line.pop_back(); // drop the closing brace, extend the object
-    line += e2e;
+    std::string line;
+    common::JsonWriter(line)
+        .beginObject()
+        .members(core::toJson(cmp))
+        .key("end_to_end").beginObject()
+        .key("iterations").integer(kAmortizationIterations)
+        .key("chason_amortized_us")
+        .number(amortizedUs(batch, core::Engine::Kind::Chason, a), "%.9g")
+        .key("serpens_amortized_us")
+        .number(amortizedUs(batch, core::Engine::Kind::Serpens, a), "%.9g")
+        .endObject()
+        .endObject();
     return line;
 }
 
@@ -171,8 +172,15 @@ main(int argc, char **argv)
         std::fprintf(out, "%s\n", line.c_str());
 
     const core::ScheduleCacheStats cache = batch.cache().stats();
-    std::fprintf(out, "{\"summary\":{\"matrices\":%zu,\"schedule_cache\":%s}}\n",
-                 entries.size(), core::toJson(cache).c_str());
+    std::string summary;
+    common::JsonWriter(summary)
+        .beginObject()
+        .key("summary").beginObject()
+        .key("matrices").integer(entries.size())
+        .key("schedule_cache").raw(core::toJson(cache))
+        .endObject()
+        .endObject();
+    std::fprintf(out, "%s\n", summary.c_str());
 
     if (out != stdout)
         std::fclose(out);

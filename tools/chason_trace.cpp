@@ -241,8 +241,13 @@ main(int argc, char **argv)
         if (!f)
             chason_fatal("cannot create counters file '%s'",
                          opt.counters.c_str());
-        const std::string json = "{\"report\":" + core::toJson(report) +
-            ",\"trace\":" + trace::countersJson(sink) + "}\n";
+        std::string json;
+        common::JsonWriter(json)
+            .beginObject()
+            .key("report").raw(core::toJson(report))
+            .key("trace").raw(trace::countersJson(sink))
+            .endObject();
+        json += '\n';
         std::fwrite(json.data(), 1, json.size(), f);
         std::fclose(f);
         std::printf("counters written to %s\n", opt.counters.c_str());
