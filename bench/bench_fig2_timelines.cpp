@@ -9,6 +9,7 @@
  */
 
 #include <cstdio>
+#include <utility>
 
 #include "arch/pipeline.h"
 #include "sched/analyzer.h"
@@ -57,7 +58,7 @@ fig1Matrix()
         add_row(r + 2, 1);
         add_row(r + 3, 1);
     }
-    return coo.toCsr();
+    return std::move(coo).toCsr();
 }
 
 void

@@ -43,9 +43,11 @@ jobCount()
 core::BatchEngine &
 sharedBatch()
 {
-    static core::BatchEngine batch{
-        core::BatchOptions{jobCount(),
-                           core::ScheduleCache::kDefaultBudgetBytes}};
+    static core::BatchEngine batch{[] {
+        core::BatchOptions options;
+        options.workers = jobCount();
+        return options;
+    }()};
     return batch;
 }
 

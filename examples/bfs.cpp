@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <queue>
+#include <utility>
 
 #include "core/chason.h"
 
@@ -75,7 +76,7 @@ main(int argc, char **argv)
                 ones.add(r, adj.colIdx()[i], 1.0f);
             }
         }
-        adj = ones.toCsr();
+        adj = std::move(ones).toCsr();
     }
     std::printf("graph: %s, source %u\n", adj.describe().c_str(),
                 source);

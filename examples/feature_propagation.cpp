@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 #include "core/chason.h"
 #include "core/spmm.h"
@@ -34,7 +35,7 @@ normalizedAdjacency(const sparse::CsrMatrix &adj)
             with_self.add(r, adj.colIdx()[i], 1.0f);
         }
     }
-    sparse::CsrMatrix a = with_self.toCsr();
+    sparse::CsrMatrix a = std::move(with_self).toCsr();
 
     std::vector<float> inv_sqrt_deg(a.rows());
     for (std::uint32_t r = 0; r < a.rows(); ++r)
@@ -48,7 +49,7 @@ normalizedAdjacency(const sparse::CsrMatrix &adj)
             norm.add(r, c, inv_sqrt_deg[r] * inv_sqrt_deg[c]);
         }
     }
-    return norm.toCsr();
+    return std::move(norm).toCsr();
 }
 
 } // namespace
@@ -74,7 +75,7 @@ main(int argc, char **argv)
             sym.addSymmetric(r, graph.colIdx()[i], 1.0f);
         }
     }
-    const sparse::CsrMatrix a = normalizedAdjacency(sym.toCsr());
+    const sparse::CsrMatrix a = normalizedAdjacency(std::move(sym).toCsr());
     std::printf("propagation operator: %s\n", a.describe().c_str());
 
     // Random initial features, column-major.

@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 #include "baselines/cpu_spmv.h"
 #include "core/chason.h"
@@ -42,7 +43,7 @@ transitionMatrix(const sparse::CsrMatrix &adj)
                     1.0f / static_cast<float>(out_degree[v]));
         }
     }
-    return coo.toCsr();
+    return std::move(coo).toCsr();
 }
 
 } // namespace

@@ -21,37 +21,11 @@ splitMix64(std::uint64_t &state)
     return z ^ (z >> 31);
 }
 
-namespace {
-
-inline std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
-} // namespace
-
 Rng::Rng(std::uint64_t seed)
 {
     std::uint64_t sm = seed;
     for (auto &word : s_)
         word = splitMix64(sm);
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
 }
 
 std::uint64_t
@@ -78,17 +52,19 @@ Rng::nextRange(std::int64_t lo, std::int64_t hi)
     return lo + static_cast<std::int64_t>(nextBounded(span));
 }
 
-double
-Rng::nextDouble()
+std::uint64_t
+Rng::unitThreshold(double p)
 {
-    // 53 high-quality bits into the mantissa.
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-float
-Rng::nextFloat(float lo, float hi)
-{
-    return lo + static_cast<float>(nextDouble()) * (hi - lo);
+    constexpr double kScale = 0x1.0p53;
+    // p * 2^53 is exact (a power-of-two scale), and so is its ceil.
+    // The clamps keep the cast in range: negative, zero and NaN p admit
+    // no k; p >= 1 admits every k.
+    const double scaled = std::ceil(p * kScale);
+    if (!(scaled > 0.0))
+        return 0;
+    if (scaled >= kScale)
+        return std::uint64_t{1} << kUnitBits;
+    return static_cast<std::uint64_t>(scaled);
 }
 
 bool
@@ -130,7 +106,9 @@ Rng::nextZipf(std::uint64_t n, double s)
         const double v = nextDouble();
         const double x = std::floor(std::pow(u, -1.0 / (s - 1.0)));
         const double t = std::pow(1.0 + 1.0 / x, s - 1.0);
-        if (v * x * (t - 1.0) / (b - 1.0) <= t / b) {
+        // x >= 1 is a whole number, or +inf when u == 0; from 2^64 up
+        // it has no uint64_t value and its rank is past any n.
+        if (v * x * (t - 1.0) / (b - 1.0) <= t / b && x < 0x1.0p64) {
             const auto rank = static_cast<std::uint64_t>(x) - 1;
             if (rank < n)
                 return rank;

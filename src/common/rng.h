@@ -45,7 +45,20 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull);
 
     /** Next raw 64-bit value. */
-    std::uint64_t next();
+    std::uint64_t next()
+    {
+        const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+
+        return result;
+    }
 
     std::uint64_t operator()() { return next(); }
 
@@ -58,11 +71,32 @@ class Rng
     /** Uniform integer in [lo, hi] inclusive. Requires lo <= hi. */
     std::int64_t nextRange(std::int64_t lo, std::int64_t hi);
 
+    /** Bits of nextDouble()'s mantissa: it returns k * 2^-kUnitBits. */
+    static constexpr int kUnitBits = 53;
+
+    /** The integer k behind the next nextDouble(), in [0, 2^53). */
+    std::uint64_t nextUnitBits() { return next() >> (64 - kUnitBits); }
+
     /** Uniform double in [0, 1). */
-    double nextDouble();
+    double nextDouble()
+    {
+        // 53 high-quality bits into the mantissa; the product is exact.
+        return static_cast<double>(nextUnitBits()) * 0x1.0p-53;
+    }
+
+    /**
+     * The integer form of the test nextDouble() < p: for every k in
+     * [0, 2^53), k * 2^-53 < p exactly when k < unitThreshold(p). It is
+     * ceil(p * 2^53) clamped to [0, 2^53] (0 for NaN), so a caller can
+     * compare nextUnitBits() against it without a branch on a double.
+     */
+    static std::uint64_t unitThreshold(double p);
 
     /** Uniform float in [lo, hi). */
-    float nextFloat(float lo, float hi);
+    float nextFloat(float lo, float hi)
+    {
+        return lo + static_cast<float>(nextDouble()) * (hi - lo);
+    }
 
     /** Bernoulli trial with probability p of returning true. */
     bool nextBool(double p);
@@ -89,6 +123,11 @@ class Rng
     static Rng forStream(std::uint64_t seed, std::uint64_t stream);
 
   private:
+    static std::uint64_t rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::uint64_t s_[4];
     bool hasSpareGaussian_ = false;
     double spareGaussian_ = 0.0;

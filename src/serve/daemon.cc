@@ -372,7 +372,8 @@ Daemon::materialize(const Request &request, std::string &error)
                 std::to_string(kMaxMatrixNnz) + " nonzeros";
             return nullptr;
         }
-        matrix = std::make_shared<sparse::CsrMatrix>(coo->toCsr());
+        matrix = std::make_shared<sparse::CsrMatrix>(
+            std::move(*coo).toCsr());
         break;
     }
     case Request::Source::Rmat: {

@@ -6,6 +6,7 @@
 #include "sparse/csc.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -53,7 +54,7 @@ CscMatrix::toCsr() const
         for (std::size_t i = colPtr_[c]; i < colPtr_[c + 1]; ++i)
             coo.add(rowIdx_[i], c, values_[i]);
     }
-    return coo.toCsr();
+    return std::move(coo).toCsr();
 }
 
 std::vector<float>

@@ -14,6 +14,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <utility>
 
 #include "common/hash.h"
 #include "common/logging.h"
@@ -131,7 +132,7 @@ loadOrGenerate(const DatasetEntry &entry, const std::string &mtx_dir,
                 readMatrixMarketFile(path.string(), error);
             if (!coo)
                 return std::nullopt;
-            return coo->toCsr();
+            return std::move(*coo).toCsr();
         }
     }
     return entry.generate();
@@ -311,7 +312,7 @@ sweepCorpus(std::size_t count)
                             drawValue(
                                 rng, ValueDistribution::PositiveUniform));
                 }
-                return coo.toCsr();
+                return std::move(coo).toCsr();
             }});
             break;
           }

@@ -47,11 +47,17 @@ CooMatrix::addSymmetric(std::uint32_t row, std::uint32_t col, float value)
 void
 CooMatrix::canonicalize()
 {
+    // One 64-bit key orders exactly as (row, then col). Keep std::sort:
+    // groups of three or more duplicates are summed in the order it
+    // leaves them, so a different (radix, stable) sort would change
+    // those float sums. Any comparator with the same results gives the
+    // same permutation.
+    const auto key = [](const Triplet &t) {
+        return static_cast<std::uint64_t>(t.row) << 32 | t.col;
+    };
     std::sort(entries_.begin(), entries_.end(),
-              [](const Triplet &a, const Triplet &b) {
-                  if (a.row != b.row)
-                      return a.row < b.row;
-                  return a.col < b.col;
+              [&key](const Triplet &a, const Triplet &b) {
+                  return key(a) < key(b);
               });
     // Merge duplicates by summation (Matrix Market semantics).
     std::size_t out = 0;
@@ -67,11 +73,16 @@ CooMatrix::canonicalize()
 }
 
 CsrMatrix
-CooMatrix::toCsr() const
+CooMatrix::toCsr() const &
 {
-    CooMatrix copy = *this;
-    copy.canonicalize();
-    return CsrMatrix(rows_, cols_, copy.entries());
+    return CooMatrix(*this).toCsr();
+}
+
+CsrMatrix
+CooMatrix::toCsr() &&
+{
+    canonicalize();
+    return CsrMatrix(rows_, cols_, entries_);
 }
 
 CsrMatrix::CsrMatrix(std::uint32_t rows, std::uint32_t cols,

@@ -48,6 +48,9 @@ class CooMatrix
     /** Fraction of positions that are populated, in percent. */
     double densityPercent() const;
 
+    /** Reserve room for @p entries triplets (no effect on contents). */
+    void reserve(std::size_t entries) { entries_.reserve(entries); }
+
     /** Append one entry; indices must be in range. */
     void add(std::uint32_t row, std::uint32_t col, float value);
 
@@ -60,7 +63,14 @@ class CooMatrix
     void canonicalize();
 
     /** Convert to CSR (canonicalizes a copy internally). */
-    CsrMatrix toCsr() const;
+    CsrMatrix toCsr() const &;
+
+    /**
+     * Convert to CSR, canonicalizing this matrix's own triplets in
+     * place instead of a copy. Same result as the const overload;
+     * callers that own the COO should std::move it here.
+     */
+    CsrMatrix toCsr() &&;
 
   private:
     std::uint32_t rows_ = 0;

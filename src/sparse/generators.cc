@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -33,12 +34,13 @@ erdosRenyi(std::uint32_t rows, std::uint32_t cols, std::size_t nnz_target,
 {
     chason_assert(rows > 0 && cols > 0, "empty matrix shape");
     CooMatrix coo(rows, cols);
+    coo.reserve(nnz_target);
     for (std::size_t i = 0; i < nnz_target; ++i) {
         const auto r = static_cast<std::uint32_t>(rng.nextBounded(rows));
         const auto c = static_cast<std::uint32_t>(rng.nextBounded(cols));
         coo.add(r, c, drawValue(rng, dist));
     }
-    return coo.toCsr();
+    return std::move(coo).toCsr();
 }
 
 CsrMatrix
@@ -50,25 +52,33 @@ rmat(std::uint32_t scale, std::size_t nnz_target, Rng &rng, double a,
     chason_assert(d >= 0.0, "rmat probabilities exceed 1");
     const std::uint32_t n = 1u << scale;
 
+    // Each bit picks a quadrant by comparing p = nextDouble() against
+    // a, a + b and a + b + c: top-left below a, top-right below a + b,
+    // bottom-left below a + b + c, else bottom-right. The comparisons
+    // run on p's integer k against Rng::unitThreshold of each bound,
+    // which is exact, and set the bits through masks instead of an
+    // unpredictable three-way branch.
+    const std::uint64_t t_a = Rng::unitThreshold(a);
+    const std::uint64_t t_ab = Rng::unitThreshold(a + b);
+    const std::uint64_t t_abc = Rng::unitThreshold(a + b + c);
+
     CooMatrix coo(n, n);
+    coo.reserve(nnz_target);
     for (std::size_t i = 0; i < nnz_target; ++i) {
         std::uint32_t row = 0, col = 0;
         for (std::uint32_t bit = n >> 1; bit > 0; bit >>= 1) {
-            const double p = rng.nextDouble();
-            if (p < a) {
-                // top-left quadrant: nothing to add
-            } else if (p < a + b) {
-                col |= bit;
-            } else if (p < a + b + c) {
-                row |= bit;
-            } else {
-                row |= bit;
-                col |= bit;
-            }
+            const std::uint64_t k = rng.nextUnitBits();
+            const std::uint32_t past_a = 0u - std::uint32_t{k >= t_a};
+            const std::uint32_t below_ab = 0u - std::uint32_t{k < t_ab};
+            const std::uint32_t below_abc = 0u - std::uint32_t{k < t_abc};
+            // Right half: top-right or bottom-right. Bottom half:
+            // bottom-left or bottom-right.
+            col |= bit & past_a & (below_ab | ~below_abc);
+            row |= bit & past_a & ~below_ab;
         }
         coo.add(row, col, drawValue(rng, dist));
     }
-    return coo.toCsr();
+    return std::move(coo).toCsr();
 }
 
 CsrMatrix
@@ -105,7 +115,7 @@ preferentialAttachment(std::uint32_t nodes, std::uint32_t edges_per_node,
         }
         targets.push_back(v);
     }
-    return coo.toCsr();
+    return std::move(coo).toCsr();
 }
 
 CsrMatrix
@@ -124,7 +134,7 @@ banded(std::uint32_t n, std::uint32_t bandwidth, double fill, Rng &rng,
                 coo.add(r, c, drawValue(rng, dist));
         }
     }
-    return coo.toCsr();
+    return std::move(coo).toCsr();
 }
 
 CsrMatrix
@@ -155,7 +165,7 @@ arrowBanded(std::uint32_t n, std::uint32_t bandwidth, double fill,
                 coo.add(r, c, drawValue(rng, dist));
         }
     }
-    return coo.toCsr();
+    return std::move(coo).toCsr();
 }
 
 CsrMatrix
@@ -184,7 +194,7 @@ blockDiagonal(std::uint32_t n, std::uint32_t block_size, double block_fill,
             }
         }
     }
-    return coo.toCsr();
+    return std::move(coo).toCsr();
 }
 
 CsrMatrix
@@ -217,7 +227,7 @@ mycielskian(unsigned k, ValueDistribution dist)
     CooMatrix coo(n, n);
     for (auto [x, y] : edges)
         coo.addSymmetric(x, y, drawValue(value_rng, dist));
-    return coo.toCsr();
+    return std::move(coo).toCsr();
 }
 
 CsrMatrix
@@ -243,7 +253,7 @@ poisson2d(std::uint32_t grid)
                 coo.add(me, idx(i, j + 1), -1.0f);
         }
     }
-    return coo.toCsr();
+    return std::move(coo).toCsr();
 }
 
 CsrMatrix
@@ -252,13 +262,14 @@ zipfRows(std::uint32_t rows, std::uint32_t cols, std::size_t nnz_target,
 {
     chason_assert(rows > 0 && cols > 0, "empty matrix shape");
     CooMatrix coo(rows, cols);
+    coo.reserve(nnz_target);
     for (std::size_t i = 0; i < nnz_target; ++i) {
         const auto r =
             static_cast<std::uint32_t>(rng.nextZipf(rows, s));
         const auto c = static_cast<std::uint32_t>(rng.nextBounded(cols));
         coo.add(r, c, drawValue(rng, dist));
     }
-    return coo.toCsr();
+    return std::move(coo).toCsr();
 }
 
 std::vector<float>

@@ -383,7 +383,9 @@ TEST(BatchEngine, DuplicateJobsHitTheSharedCache)
 
 TEST(BatchEngine, DrainStartsAFreshBatch)
 {
-    BatchEngine batch(BatchOptions{2, ScheduleCache::kDefaultBudgetBytes});
+    BatchOptions options;
+    options.workers = 2;
+    BatchEngine batch(options);
     batch.submit(job(1, Engine::Kind::Chason, "a"));
     EXPECT_EQ(batch.drain().reports.size(), 1u);
 

@@ -181,10 +181,13 @@ TEST(ArtifactFile, RoundTripIsBitExactAndZeroCopy)
         expectEqualSchedules(original, loaded);
 
         // Zero copy: every non-empty channel aliases the mapping.
-        for (const WindowSchedule &phase : loaded.phases)
-            for (const ChannelWindowSchedule &ch : phase.channels)
-                if (ch.length() > 0)
+        for (const WindowSchedule &phase : loaded.phases) {
+            for (const ChannelWindowSchedule &ch : phase.channels) {
+                if (ch.length() > 0) {
                     EXPECT_TRUE(ch.beats.aliased());
+                }
+            }
+        }
         std::filesystem::remove(path);
     }
 }

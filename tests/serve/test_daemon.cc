@@ -26,6 +26,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include "common/json.h"
 #include "common/rng.h"
 #include "core/engine.h"
 #include "serve/json.h"
@@ -62,17 +63,23 @@ referenceDigest(std::uint32_t scale, std::size_t edges,
 }
 
 std::string
-rmatRequest(std::uint64_t id, const char *tenant, std::uint32_t scale,
-            std::size_t edges, std::uint64_t seed, std::uint64_t xseed)
+rmatRequest(std::uint64_t id, const std::string &tenant,
+            std::uint32_t scale, std::size_t edges, std::uint64_t seed,
+            std::uint64_t xseed)
 {
-    char buffer[256];
-    std::snprintf(buffer, sizeof(buffer),
-                  "{\"id\":%" PRIu64
-                  ",\"tenant\":\"%s\",\"rmat\":{\"scale\":%u,"
-                  "\"edges\":%zu,\"seed\":%" PRIu64 "},\"xseed\":%" PRIu64
-                  "}\n",
-                  id, tenant, scale, edges, seed, xseed);
-    return buffer;
+    std::string line;
+    common::JsonWriter(line)
+        .beginObject()
+        .key("id").integer(id)
+        .key("tenant").string(tenant)
+        .key("rmat").beginObject()
+        .key("scale").integer(scale)
+        .key("edges").integer(edges)
+        .key("seed").integer(seed)
+        .endObject()
+        .key("xseed").integer(xseed)
+        .endObject();
+    return line + "\n";
 }
 
 /** Read one response line and parse it; fails the test on EOF. */
@@ -352,6 +359,46 @@ TEST(ServeDaemon, LongPathResponseIsOneParsableLine)
     ::close(fd);
     daemon.shutdown();
     std::remove(mtx.c_str());
+}
+
+TEST(ServeDaemon, TenantNamesAreSentEscapedAndWhole)
+{
+    DaemonOptions options;
+    options.socketPath = socketPath("tenant_names");
+    Daemon daemon(options);
+    std::string error;
+    ASSERT_TRUE(daemon.start(&error)) << error;
+    const int fd = connectUnixSocket(options.socketPath, &error);
+    ASSERT_GE(fd, 0) << error;
+    LineReader reader(fd);
+
+    // A quote in the tenant is escaped, so the line parses and runs.
+    ASSERT_TRUE(sendAll(fd, rmatRequest(1, "a\"b", 7, 1500, 11, 101)));
+    JsonValue v = readResponse(reader);
+    std::uint64_t id = 0;
+    EXPECT_TRUE(v.getUint("id", id));
+    EXPECT_EQ(id, 1u);
+    ASSERT_NE(v.find("ok"), nullptr);
+    EXPECT_TRUE(v.find("ok")->boolean);
+    std::string digest;
+    EXPECT_TRUE(v.getString("ydigest", digest));
+    EXPECT_EQ(digest, referenceDigest(7, 1500, 11, 101));
+
+    // A 300-byte tenant arrives whole: the daemon reads the field and
+    // answers with its tenant-length error, not a JSON parse error.
+    const std::string longTenant(300, 't');
+    ASSERT_TRUE(sendAll(fd, rmatRequest(2, longTenant, 7, 1500, 11, 101)));
+    v = readResponse(reader);
+    EXPECT_TRUE(v.getUint("id", id));
+    EXPECT_EQ(id, 2u);
+    std::string type, detail;
+    EXPECT_TRUE(v.getString("error", type));
+    EXPECT_EQ(type, kErrBadRequest);
+    EXPECT_TRUE(v.getString("detail", detail));
+    EXPECT_NE(detail.find("tenant"), std::string::npos) << detail;
+
+    ::close(fd);
+    daemon.shutdown();
 }
 
 TEST(ServeDaemon, QosThrottlesOneTenantWithoutTouchingAnother)

@@ -247,8 +247,9 @@ TEST(Verifier, PerRuleCapSuppressesButStillCounts)
     const VerifyResult full = verifySchedule(sch, options);
     EXPECT_EQ(capped.errors, full.errors); // tallies are not capped
     EXPECT_LE(capped.diagnostics.size(), full.diagnostics.size());
-    if (full.errors > 2)
+    if (full.errors > 2) {
         EXPECT_GT(capped.suppressed, 0u);
+    }
 }
 
 TEST(Verifier, RuleCatalogIsCompleteAndOrdered)
@@ -260,8 +261,9 @@ TEST(Verifier, RuleCatalogIsCompleteAndOrdered)
         EXPECT_STREQ(rules[i].id, findRule(rules[i].id)->id);
         EXPECT_NE(rules[i].summary, nullptr);
         EXPECT_NE(rules[i].paperRef, nullptr);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_LT(std::string(rules[i - 1].id), rules[i].id);
+        }
     }
     EXPECT_EQ(findRule("CHV999"), nullptr);
 }

@@ -31,6 +31,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/table.h"
@@ -125,10 +126,10 @@ main(int argc, char **argv)
     sparse::CsrMatrix a;
     if (!mtx.empty()) {
         std::string error;
-        const auto coo = sparse::readMatrixMarketFile(mtx, error);
+        auto coo = sparse::readMatrixMarketFile(mtx, error);
         if (!coo)
             chason_fatal("%s", error.c_str());
-        a = coo->toCsr();
+        a = std::move(*coo).toCsr();
     } else {
         a = sparse::table2ByTag(dataset).generate();
     }

@@ -23,6 +23,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "common/logging.h"
 #include "core/chason.h"
@@ -112,10 +113,10 @@ runPack(int argc, char **argv)
     sparse::CsrMatrix a;
     if (!mtx.empty()) {
         std::string error;
-        const auto coo = sparse::readMatrixMarketFile(mtx, error);
+        auto coo = sparse::readMatrixMarketFile(mtx, error);
         if (!coo)
             chason_fatal("%s", error.c_str());
-        a = coo->toCsr();
+        a = std::move(*coo).toCsr();
     } else {
         a = sparse::table2ByTag(dataset).generate();
     }

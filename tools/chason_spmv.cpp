@@ -24,6 +24,7 @@
 #include <cstdlib>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "baselines/cpu_spmv.h"
 #include "core/chason.h"
@@ -109,10 +110,10 @@ loadMatrix(const Options &opt)
 {
     if (!opt.mtx.empty()) {
         std::string error;
-        const auto coo = sparse::readMatrixMarketFile(opt.mtx, error);
+        auto coo = sparse::readMatrixMarketFile(opt.mtx, error);
         if (!coo)
             chason_fatal("%s", error.c_str());
-        return coo->toCsr();
+        return std::move(*coo).toCsr();
     }
     if (!opt.dataset.empty())
         return sparse::table2ByTag(opt.dataset).generate();

@@ -29,6 +29,7 @@
 #include <cstdlib>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "core/chason.h"
 #include "core/report_json.h"
@@ -130,10 +131,10 @@ loadMatrix(const Options &opt, std::string &label)
     if (!opt.mtx.empty()) {
         label = opt.mtx;
         std::string error;
-        const auto coo = sparse::readMatrixMarketFile(opt.mtx, error);
+        auto coo = sparse::readMatrixMarketFile(opt.mtx, error);
         if (!coo)
             chason_fatal("%s", error.c_str());
-        return coo->toCsr();
+        return std::move(*coo).toCsr();
     }
     if (!opt.dataset.empty()) {
         const sparse::DatasetEntry &entry = findDataset(opt.dataset);

@@ -42,6 +42,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -276,7 +277,7 @@ main(int argc, char **argv)
                 sparse::readMatrixMarketFile(opt.mtxPath, error);
             if (!coo)
                 chason_fatal("%s", error.c_str());
-            job.matrix = coo->toCsr();
+            job.matrix = std::move(*coo).toCsr();
         } else {
             job.matrix = sparse::table2ByTag(tag).generate();
         }
