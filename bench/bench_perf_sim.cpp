@@ -3,12 +3,13 @@
  * Perf trajectory, simulation leg: streaming-simulation throughput over
  * the R-MAT ladder, emitted as BENCH_sim.json.
  *
- * Times Accelerator::runPlanned, the replay of a StreamPlan that an
- * offline schedule amortizes over many SpMV invocations, in simulated
- * cycles per wall second. run() walks the beat lists instead; before
- * timing, each tier once asserts that the replay is bit-identical to
- * that walk (y and every cycle counter), so the reported speed changes
- * no simulated result. The checksum is the double sum of y.
+ * Times Accelerator::runPlanned, the replay of a held StreamPlan that
+ * an offline schedule amortizes over many SpMV invocations, in
+ * simulated cycles per wall second. Before timing, each tier once
+ * asserts that the held plan's replay is bit-identical to a one-off
+ * run() (a fresh build and its replay: y and every cycle counter). The
+ * checksum is the double sum of y; test_perf_determinism pins y itself
+ * by digest.
  *
  * Knobs: CHASON_PERF_TIERS picks tiers, --out changes the report path.
  */
@@ -55,8 +56,8 @@ main(int argc, char **argv)
         const sched::Schedule schedule = scheduler.schedule(a);
         const arch::StreamPlan plan(schedule, accel.migrationDepth());
 
-        // Identity gate: the replay must not change one bit of the
-        // simulated outcome before its speed is worth reporting.
+        // Identity gate: a held plan must replay exactly what a fresh
+        // build does before its speed is worth reporting.
         const arch::RunResult ref = accel.run(schedule, x);
         const arch::RunResult planned = accel.runPlanned(schedule, plan, x);
         const arch::CycleBreakdown &rc = ref.cycles;
@@ -69,7 +70,7 @@ main(int argc, char **argv)
                           rc.writeback == pc.writeback &&
                           rc.instStream == pc.instStream &&
                           rc.launch == pc.launch,
-                      "planned run diverged from run() on tier %s",
+                      "held plan diverged from run() on tier %s",
                       tier.name);
 
         for (unsigned w = 0; w < tier.warmups; ++w)

@@ -8,8 +8,8 @@
  * unvisited vertices. The (OR, AND) boolean semiring is emulated on the
  * FP32 datapath with 0/1 indicator vectors and a clamp after each
  * multiply — any positive partial sum means "reached". The transpose is
- * built once with the CSC converter and the schedule is reused across
- * levels via the schedule cache.
+ * built once with the CSC converter, and the schedule cache's entry
+ * (schedule, statistics and plan) is reused across levels.
  *
  * Usage: bfs [nodes] [edges-per-node] [source]
  */
@@ -101,9 +101,11 @@ main(int argc, char **argv)
     int depth = 0;
     while (true) {
         std::vector<float> reached;
+        const auto entry = cache.lookup(engine.scheduler(), adj_t);
         accel_ms += engine
-                        .runScheduled(*cache.get(engine, adj_t), adj_t,
-                                      frontier, "bfs", &reached)
+                        .runScheduled(entry->schedule, entry->stats,
+                                      entry->plan(), adj_t, frontier,
+                                      "bfs", &reached)
                         .latencyMs;
         // Host-side cross-check through the CSC transposed kernel.
         const std::vector<float> host = csc.spmvTransposed(frontier);

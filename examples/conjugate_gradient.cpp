@@ -54,6 +54,8 @@ main(int argc, char **argv)
     core::Engine engine(core::Engine::Kind::Chason);
     const sched::Schedule schedule = engine.schedule(a);
     const sched::ScheduleStats stats = sched::analyze(schedule);
+    const arch::StreamPlan plan(schedule,
+                                engine.accelerator().migrationDepth());
     std::printf("CrHCS schedule: %zu beats/channel, underutilization "
                 "%.1f%% (balanced stencils barely stall)\n",
                 stats.streamBeatsPerChannel,
@@ -71,7 +73,8 @@ main(int argc, char **argv)
     for (; it < max_iters && rs_old > tol2; ++it) {
         std::vector<float> ap;
         accel_ms += engine
-                        .runScheduled(schedule, a, p, "cg", &ap)
+                        .runScheduled(schedule, stats, plan, a, p, "cg",
+                                      &ap)
                         .latencyMs;
         const double alpha = rs_old / dot(p, ap);
         for (std::uint32_t i = 0; i < n; ++i) {

@@ -25,20 +25,22 @@ ctest --test-dir build-tsan \
 # ASan+UBSan (artifact readers, verifier, mutation injector, SARIF,
 # the JSON parser and writer with the report and trace emitters on it,
 # and the serving protocol's request parser — hostile-input
-# territory), plus the simulator's streaming walk and plan replay,
-# which index bank tables by slot tags and the x window by slot
-# columns, the timing model, which indexes HbmDevice channels and
-# each channel's beat list per phase, and matrix building: the R-MAT
-# draws' double-to-integer threshold casts and the in-place COO sort.
+# territory), plus the simulator's StreamPlan build and replay, which
+# index bank tables and RAW stamps by slot tags and the x window by
+# slot columns (test_spmm replays one plan over many columns and takes
+# the alpha/beta path), the timing model, which indexes HbmDevice
+# channels and each channel's beat list per phase, and matrix
+# building: the R-MAT draws' double-to-integer threshold casts and the
+# in-place COO sort.
 cmake -B build-asan -G Ninja -DCHASON_ASAN=ON
 cmake --build build-asan --target \
     test_matrix_market test_schedule test_schedule_io test_artifact \
     test_verifier test_sarif test_sarif_merge test_differential \
     test_serve_protocol test_peg test_accelerators test_perf_determinism \
     test_estimator test_trace_invariant test_json test_report_json test_trace \
-    test_generators test_rng test_formats
+    test_generators test_rng test_formats test_spmm
 ctest --test-dir build-asan \
-    -R 'test_(matrix_market|schedule(_io)?$|artifact$|verifier|sarif|differential|serve_protocol|peg|accelerators|perf_determinism|estimator|trace_invariant|json|report_json|trace$|generators|rng|formats)' \
+    -R 'test_(matrix_market|schedule(_io)?$|artifact$|verifier|sarif|differential|serve_protocol|peg|accelerators|perf_determinism|estimator|trace_invariant|json|report_json|trace$|generators|rng|formats|spmm)' \
     --output-on-failure 2>&1 | tee -a test_output.txt
 
 # Static schedule verification gate: every bundled example schedule must

@@ -56,14 +56,13 @@ deviceSpan(trace::TraceSink *sink, const char *name, trace::Category cat,
 }
 
 /**
- * Reuse pool for PEG sets. Every simulateStreaming call needs a fully
- * reset PEG per channel; constructing them fresh allocates and
- * page-faults tens of MB of bank storage per run, which dominated
- * repeated-run simulation cost. Released sets keep their bank storage;
- * on reacquisition Peg::reset clears only the banks the previous run
- * actually wrote (AccumulatorBank tracks its sums and its RAW stamps
- * apart, and a plan replay writes only sums), so a pooled set
- * is bit-identical to a freshly constructed one.
+ * Reuse pool for PEG sets. Every runPlanned call needs a fully reset
+ * PEG per channel; constructing them fresh allocates and page-faults
+ * tens of MB of bank storage per run, which dominated repeated-run
+ * simulation cost. Released sets keep their bank storage; on
+ * reacquisition Peg::reset clears only the banks the previous run
+ * actually wrote, so a pooled set is bit-identical to a freshly
+ * constructed one.
  */
 class PegSetPool
 {
@@ -200,15 +199,8 @@ Accelerator::run(const sched::Schedule &schedule,
                  const std::vector<float> &x,
                  const SpmvParams &params) const
 {
-    return simulateStreaming(schedule, x, params, nullptr);
-}
-
-RunResult
-Accelerator::runPlanned(const sched::Schedule &schedule,
-                        const StreamPlan &plan, const std::vector<float> &x,
-                        const SpmvParams &params) const
-{
-    return simulateStreaming(schedule, x, params, &plan);
+    return runPlanned(schedule, StreamPlan(schedule, migrationDepth()), x,
+                      params);
 }
 
 Timeline
@@ -361,14 +353,12 @@ Accelerator::timeline(const sched::Schedule &schedule,
 }
 
 RunResult
-Accelerator::simulateStreaming(const sched::Schedule &schedule,
-                               const std::vector<float> &x,
-                               const SpmvParams &params,
-                               const StreamPlan *plan) const
+Accelerator::runPlanned(const sched::Schedule &schedule,
+                        const StreamPlan &plan, const std::vector<float> &x,
+                        const SpmvParams &params) const
 {
     const unsigned migration_depth = migrationDepth();
-    chason_assert(plan == nullptr ||
-                      plan->matches(schedule, migration_depth),
+    chason_assert(plan.matches(schedule, migration_depth),
                   "stream plan was built for a different schedule or "
                   "migration depth");
     const sched::SchedConfig &sc = schedule.config;
@@ -386,8 +376,8 @@ Accelerator::simulateStreaming(const sched::Schedule &schedule,
     chason_assert(x.size() == schedule.cols,
                   "x has %zu entries, schedule expects %u", x.size(),
                   schedule.cols);
-    // Note: a schedule whose slots migrate farther than the datapath's
-    // shared banks reach is caught by SlotRouter::route.
+    // A schedule whose slots migrate farther than the datapath's shared
+    // banks reach was rejected when the plan was built.
 
     RunResult result;
     result.cycles = tl.cycles;
@@ -401,7 +391,6 @@ Accelerator::simulateStreaming(const sched::Schedule &schedule,
     std::vector<Peg> &pegs = lease.pegs;
 
     XWindowBuffer xbuf;
-    std::int64_t beat_base = 0;
 
     // Merge partial sums of a finished pass into y. The two scratch
     // vectors are hoisted out of the per-(channel, PE) loop and the
@@ -473,27 +462,11 @@ Accelerator::simulateStreaming(const sched::Schedule &schedule,
             sc.windowCols, schedule.cols - col_base);
         xbuf.load(x, col_base, win_len);
 
-        // Without a plan each channel's beat list is walked, routed and
-        // checked slot by slot; with one, the plan's routed and checked
-        // slots are replayed. Both make the same products in the same
-        // per-bank order (see stream_soa.h).
-        const SlotRouter router(sc, migration_depth, col_base, win_len);
         // chason-lint: begin-hot (per-channel streaming loop: the
         // simulator's steady-state path must not allocate)
-        for (unsigned ch = 0; ch < sc.channels; ++ch) {
-            if (plan) {
-                plan->replay(phase_idx, ch, xbuf, pegs[ch]);
-            } else {
-                streamChannel(phase.channels[ch], router, ch, xbuf,
-                              beat_base, sc, pegs[ch]);
-            }
-        }
+        for (unsigned ch = 0; ch < sc.channels; ++ch)
+            plan.replay(phase_idx, ch, xbuf, pegs[ch]);
         // chason-lint: end-hot
-
-        // The pipeline drains between phases, which also clears RAW
-        // hazards across the boundary.
-        beat_base += static_cast<std::int64_t>(phase.alignedBeats) +
-            sc.rawDistance;
     }
     if (current_pass >= 0)
         finish_pass(static_cast<std::uint32_t>(current_pass));

@@ -146,21 +146,20 @@ class Accelerator
     double frequencyMhz() const;
 
     /**
-     * Execute a schedule against the dense vector @p x: walk every
-     * phase beat by beat through per-channel PEGs, merge partial sums
-     * into y at pass boundaries, and take cycles and traffic from
-     * timeline().
+     * Execute a schedule against the dense vector @p x once: build its
+     * StreamPlan (arch/stream_soa.h), which runs every model check, and
+     * replay it through runPlanned(). A caller that runs one schedule
+     * more than once keeps the plan and calls runPlanned() instead.
      */
     RunResult run(const sched::Schedule &schedule,
                   const std::vector<float> &x,
                   const SpmvParams &params = {}) const;
 
     /**
-     * Run against a StreamPlan (see arch/stream_soa.h). Bit-identical
-     * to run(); replays the plan's routed and checked slots instead of
-     * walking the beat lists, which pays off when the same schedule is
-     * simulated repeatedly. The plan must have been built from this
-     * exact schedule with this accelerator's migrationDepth().
+     * Run against a StreamPlan built from this exact schedule with this
+     * accelerator's migrationDepth(): replay its routed and checked
+     * slots through per-channel PEGs, merge partial sums into y at pass
+     * boundaries, and take cycles and traffic from timeline().
      */
     RunResult runPlanned(const sched::Schedule &schedule,
                          const StreamPlan &plan,
@@ -189,16 +188,6 @@ class Accelerator
   protected:
     ArchConfig config_;
 
-  private:
-    /**
-     * Compute y by walking the beat lists, or by replaying @p plan when
-     * one is given (results are bit-identical), and attach timeline()
-     * plus the per-call beta y-read beats.
-     */
-    RunResult simulateStreaming(const sched::Schedule &schedule,
-                                const std::vector<float> &x,
-                                const SpmvParams &params,
-                                const StreamPlan *plan) const;
 };
 
 } // namespace arch

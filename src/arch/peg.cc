@@ -13,18 +13,11 @@ namespace arch {
 void
 AccumulatorBank::reset(std::size_t depth)
 {
-    if (sums_.size() != depth) {
+    if (sums_.size() != depth)
         sums_.assign(depth, 0.0f);
-        lastWrite_.assign(depth, kNeverWritten);
-    } else {
-        // Already sized: clear only what was written since the reset.
-        if (dirty_)
-            std::fill(sums_.begin(), sums_.end(), 0.0f);
-        if (stamped_)
-            std::fill(lastWrite_.begin(), lastWrite_.end(), kNeverWritten);
-    }
+    else if (dirty_)
+        std::fill(sums_.begin(), sums_.end(), 0.0f);
     dirty_ = false;
-    stamped_ = false;
 }
 
 float

@@ -9,18 +9,19 @@
  * the paper's depth of 1). The Router steers each product to the right
  * bank using the (pvt, PE_src) tags.
  *
- * The model is functional plus checked: every write is held to the RAW
- * distance on its physical bank (per accumulation in a beat-list walk,
- * once per slot when a StreamPlan is built), so a schedule that would
- * corrupt data on the real pipeline panics here instead of silently
- * producing wrong sums.
+ * The model is functional plus checked, as the paper splits the work:
+ * CrHCS guarantees the RAW distance offline (Section 3.3) and the PEG
+ * only streams and accumulates. The check runs once per slot, when a
+ * StreamPlan is built (arch/stream_soa.h): a write closer than the RAW
+ * distance to the previous write of its bank address panics there,
+ * before any run, instead of silently producing wrong sums. The banks
+ * here hold sums only.
  */
 
 #ifndef CHASON_ARCH_PEG_H_
 #define CHASON_ARCH_PEG_H_
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "common/logging.h"
@@ -29,70 +30,27 @@
 namespace chason {
 namespace arch {
 
-/** One accumulator URAM bank with RAW-distance checking. */
+/** One accumulator URAM bank: partial sums, one per bank address. */
 class AccumulatorBank
 {
   public:
     /**
-     * Clear sums and RAW history; size for @p depth rows. Only what was
-     * written since the last reset is cleared when the bank is already
-     * @p depth deep — most shared banks of a PEG set never receive a
-     * migrated product, and a plan replay adds without stamping, so
-     * skipping those clears removes the bulk of the per-run reset
-     * traffic when PEG sets are reused across runs.
+     * Clear the sums; size for @p depth rows. When the bank is already
+     * @p depth deep, only a bank written since the last reset is
+     * cleared — most shared banks of a PEG set never receive a migrated
+     * product, so skipping those clears removes the bulk of the per-run
+     * reset traffic when PEG sets are reused across runs.
      */
     void reset(std::size_t depth);
 
     /**
-     * The RAW-distance rule, written once: record a write to @p addr
-     * at stream beat @p beat without adding anything. Panics if @p addr
-     * lies beyond the bank's depth, or if the previous write to @p addr
-     * was closer than @p raw_distance beats — the real pipeline would
-     * have read a stale partial sum. accumulate() applies it to every
-     * product of a beat-list walk; a StreamPlan applies it once per
-     * slot when it is built, and its replay then adds unchecked.
+     * Add @p product at @p addr. No check runs here: the StreamPlan
+     * build already bounded the address and held it to the RAW
+     * distance. Defined inline: this is the innermost operation of a
+     * replay, executed once per non-zero.
      */
     void
-    stamp(std::uint32_t addr, std::int64_t beat, unsigned raw_distance)
-    {
-        chason_assert(addr < sums_.size(),
-                      "bank address %u beyond depth %zu", addr,
-                      sums_.size());
-        chason_assert(beat >= 0 && beat <= kMaxBeat,
-                      "beat %lld outside the bank's RAW stamp range",
-                      static_cast<long long>(beat));
-        chason_assert(
-            static_cast<std::int64_t>(lastWrite_[addr]) +
-                    static_cast<std::int64_t>(raw_distance) <=
-                beat,
-            "RAW hazard at address %u: writes at beats %lld and %lld",
-            addr, static_cast<long long>(lastWrite_[addr]),
-            static_cast<long long>(beat));
-        lastWrite_[addr] = static_cast<std::int32_t>(beat);
-        stamped_ = true;
-    }
-
-    /**
-     * Accumulate @p product into address @p addr at stream beat @p beat
-     * through the RAW check (stamp()). Defined inline: this is the
-     * innermost operation of the streaming walk, executed once per
-     * non-zero.
-     */
-    void
-    accumulate(std::uint32_t addr, float product, std::int64_t beat,
-               unsigned raw_distance)
-    {
-        stamp(addr, beat, raw_distance);
-        sums_[addr] += product;
-        dirty_ = true;
-    }
-
-    /**
-     * Add @p product at @p addr with no check: only for slots whose
-     * address and RAW distance a StreamPlan build already stamped.
-     */
-    void
-    addUnchecked(std::uint32_t addr, float product)
+    add(std::uint32_t addr, float product)
     {
         sums_[addr] += product;
         dirty_ = true;
@@ -111,18 +69,8 @@ class AccumulatorBank
     bool dirty() const { return dirty_; }
 
   private:
-    // RAW stamps are stored as int32 — half the reset/accumulate
-    // traffic of int64 stamps. Stream beats are bounded by the total
-    // schedule length, far below 2^31; accumulate() asserts the bound.
-    static constexpr std::int64_t kMaxBeat =
-        std::numeric_limits<std::int32_t>::max();
-    static constexpr std::int32_t kNeverWritten =
-        std::numeric_limits<std::int32_t>::min() / 2;
-
     std::vector<float> sums_;
-    std::vector<std::int32_t> lastWrite_;
-    bool dirty_ = false;   ///< sums_ written since the last reset
-    bool stamped_ = false; ///< lastWrite_ written since the last reset
+    bool dirty_ = false; ///< sums_ written since the last reset
 };
 
 /** BRAM buffer holding the current window of the dense vector x. */

@@ -1,6 +1,6 @@
 /**
  * @file
- * Slot routing, the beat-list walk and the stream plan.
+ * Slot routing and the stream plan.
  */
 
 #include "arch/stream_soa.h"
@@ -35,35 +35,71 @@ SlotRouter::SlotRouter(const sched::SchedConfig &config,
     }
 }
 
-void
-streamChannel(const sched::ChannelWindowSchedule &cws,
-              const SlotRouter &router, unsigned channel,
-              const XWindowBuffer &x, std::int64_t beat_base,
-              const sched::SchedConfig &config, Peg &peg)
-{
-    const unsigned pes = peg.pes();
-    AccumulatorBank *banks[sched::kMaxPesPerGroup];
-    for (unsigned p = 0; p < pes; ++p)
-        banks[p] = peg.pe(p).banks();
-    const float *win = x.data();
-    const sched::Beat *beats = cws.beats.data();
+namespace {
 
-    // chason-lint: begin-hot (the walk every run() takes: one pass over
-    // the beat list, one checked accumulate per valid slot)
-    for (std::size_t t = 0; t < cws.beats.size(); ++t) {
-        for (unsigned p = 0; p < pes; ++p) {
-            const sched::Slot &slot = beats[t].slots[p];
-            if (!slot.valid)
-                continue; // explicit zero: MAC skipped, PE idle
-            const SlotRoute r = router.route(slot, channel, p);
-            const float product = slot.value * win[r.winCol];
-            banks[p][r.bank].accumulate(
-                r.addr, product, beat_base + static_cast<std::int64_t>(t),
-                config.rawDistance);
-        }
+/**
+ * The RAW-distance rule, written once: the beat of the last write to
+ * every bank address of one PEG, as one flat int32 table indexed
+ * [(PE * banks per PE + bank tag) * depth + address]. Stream beats are
+ * bounded by the schedule length, far below 2^31; stamp() asserts it.
+ */
+class RawStamps
+{
+  public:
+    RawStamps(unsigned pes, unsigned banks_per_pe)
+        : banks_(std::size_t{pes} * banks_per_pe), banksPerPe_(banks_per_pe)
+    {
     }
-    // chason-lint: end-hot
-}
+
+    /** Forget every write; size each bank for @p depth rows. */
+    void
+    reset(std::uint32_t depth)
+    {
+        depth_ = depth;
+        last_.assign(banks_ * depth, kNeverWritten);
+    }
+
+    /**
+     * Record a write by PE @p pe to bank @p tag, address @p addr, at
+     * stream beat @p beat. Panics if @p addr lies beyond the depth, or
+     * if the previous write to that address was closer than
+     * @p raw_distance beats: the real pipeline would have read a stale
+     * partial sum.
+     */
+    void
+    stamp(unsigned pe, unsigned tag, std::uint32_t addr, std::int64_t beat,
+          unsigned raw_distance)
+    {
+        chason_assert(addr < depth_, "bank address %u beyond depth %u",
+                      addr, depth_);
+        chason_assert(beat >= 0 && beat <= kMaxBeat,
+                      "beat %lld outside the RAW stamp range",
+                      static_cast<long long>(beat));
+        std::int32_t &last =
+            last_[(pe * banksPerPe_ + tag) * std::size_t{depth_} + addr];
+        chason_assert(static_cast<std::int64_t>(last) +
+                              static_cast<std::int64_t>(raw_distance) <=
+                          beat,
+                      "RAW hazard at address %u: writes at beats %lld "
+                      "and %lld",
+                      addr, static_cast<long long>(last),
+                      static_cast<long long>(beat));
+        last = static_cast<std::int32_t>(beat);
+    }
+
+  private:
+    static constexpr std::int64_t kMaxBeat =
+        std::numeric_limits<std::int32_t>::max();
+    static constexpr std::int32_t kNeverWritten =
+        std::numeric_limits<std::int32_t>::min() / 2;
+
+    std::size_t banks_;
+    std::size_t banksPerPe_;
+    std::uint32_t depth_ = 0;
+    std::vector<std::int32_t> last_;
+};
+
+} // namespace
 
 StreamPlan::StreamPlan(const sched::Schedule &schedule,
                        unsigned migration_depth)
@@ -81,12 +117,10 @@ StreamPlan::StreamPlan(const sched::Schedule &schedule,
     offsets_.reserve(channels_ * phaseCount_ * pes_ + 1);
     arena_.reserve(schedule.nnz); // one valid slot per non-zero
 
-    // Channel by channel: one PEG's banks carry the RAW stamps, reset at
-    // every pass as a walk resets them, and the beat base advances per
-    // phase exactly as the walk's does, so every check sees the walk's
-    // beats.
-    Peg peg(sc, migration_depth);
-    AccumulatorBank *banks[sched::kMaxPesPerGroup];
+    // Channel by channel: the stamps of one PEG's banks, reset at
+    // every pass; the beat base advances per phase by its aligned beats
+    // plus the drain of rawDistance beats.
+    RawStamps stamps(pes_, 1 + migration_depth * pes_);
     PlannedSlot *out[sched::kMaxPesPerGroup];
     std::size_t count[sched::kMaxPesPerGroup] = {};
     for (unsigned ch = 0; ch < channels_; ++ch) {
@@ -96,7 +130,7 @@ StreamPlan::StreamPlan(const sched::Schedule &schedule,
             const sched::WindowSchedule &phase = schedule.phases[ph];
             if (static_cast<std::int64_t>(phase.pass) != current_pass) {
                 current_pass = phase.pass;
-                peg.reset(sched::passDepth(schedule, phase.pass));
+                stamps.reset(sched::passDepth(schedule, phase.pass));
             }
             const sched::BeatList &list = phase.channels[ch].beats;
             const sched::Beat *beats = list.data();
@@ -119,10 +153,8 @@ StreamPlan::StreamPlan(const sched::Schedule &schedule,
                           "%zu slots overflow the plan's 32-bit offsets",
                           end);
             arena_.resize(end);
-            for (unsigned p = 0; p < pes_; ++p) {
-                banks[p] = peg.pe(p).banks();
+            for (unsigned p = 0; p < pes_; ++p)
                 out[p] = arena_.data() + offsets_[first + p];
-            }
 
             // Pass 2: route, check and fill.
             const std::uint32_t win_base = phase.window * sc.windowCols;
@@ -136,9 +168,9 @@ StreamPlan::StreamPlan(const sched::Schedule &schedule,
                     if (!slot.valid)
                         continue;
                     const SlotRoute r = router.route(slot, ch, p);
-                    banks[p][r.bank].stamp(
-                        r.addr, beat_base + static_cast<std::int64_t>(t),
-                        sc.rawDistance);
+                    stamps.stamp(p, r.bank, r.addr,
+                                 beat_base + static_cast<std::int64_t>(t),
+                                 sc.rawDistance);
                     *out[p]++ = {slot.value, r.winCol,
                                  static_cast<std::uint32_t>(r.bank)
                                          << kAddrBits |
@@ -176,14 +208,14 @@ StreamPlan::replay(std::size_t phase, unsigned ch, const XWindowBuffer &x,
     const float *win = x.data();
     const std::uint32_t *offset =
         offsets_.data() + (ch * phaseCount_ + phase) * pes_;
-    // chason-lint: begin-hot (runPlanned replay: one product and one
-    // unchecked add per non-zero, read linearly from the arena)
+    // chason-lint: begin-hot (the replay every run takes: one product
+    // and one unchecked add per non-zero, read linearly from the arena)
     for (unsigned p = 0; p < pes_; ++p) {
         AccumulatorBank *banks = peg.pe(p).banks();
         const PlannedSlot *end = arena_.data() + offset[p + 1];
         for (const PlannedSlot *s = arena_.data() + offset[p]; s != end;
              ++s) {
-            banks[s->bankAddr >> kAddrBits].addUnchecked(
+            banks[s->bankAddr >> kAddrBits].add(
                 s->bankAddr & kAddrMask, s->value * win[s->winCol]);
         }
     }

@@ -1,39 +1,35 @@
 /**
  * @file
  * The streaming phase of the cycle-level simulation: one slot-routing
- * rule, the walk that applies it per run, and the plan that applies it
- * once per schedule.
+ * rule and one way to stream, a plan that applies it once per schedule.
  *
  * Each PE consumes one slot per beat. The slot's (pvt, PE_src) tags
  * route its product into URAM_pvt or a ScUG bank (Section 4.2); a
  * Serpens PE is the same datapath without ScUG banks (depth 0).
  * SlotRouter is that rule, written once, together with every model
  * check it implies (window bounds, lane ownership, migration reach).
- * The RAW-distance rule and the bank-depth bound live in one place too,
- * AccumulatorBank::stamp (arch/peg.h).
  *
- * Two ways to stream a schedule:
- *  - streamChannel walks one channel's beat list of one phase, routes
- *    each valid slot and accumulates value * x[col] into the selected
- *    bank through the RAW check. Accelerator::run takes this path; it
- *    stages nothing, so a schedule streamed once pays nothing extra.
- *  - StreamPlan runs every check once, when it is built: it routes each
- *    valid slot, bounds its bank address and stamps it against the RAW
- *    distance, then stores it as 12 bytes (value, window column and a
- *    packed bank/address word) in one flat arena, segmented per
- *    (channel, phase, PE). None of that depends on x. Its replay
- *    (Accelerator::runPlanned) does products only: bank[addr] +=
- *    value * x[col], read linearly. A core::CachedSchedule builds one
- *    on its entry's second use, so every warm request replays.
+ * StreamPlan is the one way to stream a schedule. Its build runs every
+ * check once: it routes each valid slot, bounds its bank address by
+ * the pass depth and holds it to the RAW distance (the rule CrHCS
+ * guarantees offline, Section 3.3, and the only place the model checks
+ * it), then stores it as 12 bytes (value, window column and a packed
+ * bank/address word) in one flat arena, segmented per (channel, phase,
+ * PE). None of that depends on x. Its replay (Accelerator::runPlanned)
+ * does products only: bank[addr] += value * x[col], read linearly, as
+ * the PEG streams its offline-packed lists at run time.
+ * Accelerator::run builds a plan for one call; a core::CachedSchedule
+ * builds one on its entry's first run, and every later request
+ * replays it.
  *
- * Bit-identity: a bank only ever receives products from its owning
- * (channel, PE) lane, and both paths keep beat order within a lane,
- * so every bank sees the same additions in the same order. Both round
- * the product to fp32 before the add; chason_arch builds with
- * -ffp-contract=off so the two steps are never fused into an FMA.
- * Neither path counts cycles: both compute y only, and the cycles,
- * traffic and device spans of either come from Accelerator::timeline,
- * which reads the schedule alone.
+ * Determinism: a bank only ever receives products from its owning
+ * (channel, PE) lane, and the plan keeps beat order within a lane, so
+ * every bank sees its additions in the beat lists' order. The product
+ * is rounded to fp32 before the add; chason_arch builds with
+ * -ffp-contract=off so the two steps are never fused into an FMA. The
+ * replay counts no cycles: it computes y only, and cycles, traffic and
+ * device spans come from Accelerator::timeline, which reads the
+ * schedule alone.
  */
 
 #ifndef CHASON_ARCH_STREAM_SOA_H_
@@ -122,28 +118,21 @@ class SlotRouter
 };
 
 /**
- * Walk one channel's beat list of one phase into @p peg: route every
- * valid slot and accumulate value * x[col] at beat @p beat_base + t
- * through the bank's RAW check. @p router must match the window loaded
- * in @p x and the migration depth of @p peg.
- */
-void streamChannel(const sched::ChannelWindowSchedule &cws,
-                   const SlotRouter &router, unsigned channel,
-                   const XWindowBuffer &x, std::int64_t beat_base,
-                   const sched::SchedConfig &config, Peg &peg);
-
-/**
- * Every valid slot of one schedule, routed and checked once. Build a
- * plan when the same schedule is streamed more than once (served
- * requests, repeated SpMV, benchmarking); Accelerator::runPlanned then
- * replays it instead of walking the beat lists. The plan is immutable
- * after construction and safe to share across threads.
+ * Every valid slot of one schedule, routed and checked once: the
+ * simulator's only way to compute y. Accelerator::run builds one per
+ * call; a caller that streams one schedule more than once (served
+ * requests, SpMM columns, iterative solvers, benchmarking) keeps one
+ * and calls Accelerator::runPlanned. The plan is immutable after
+ * construction and safe to share across threads.
  *
- * Construction panics on every schedule a walk panics on, with the
- * walk's message: a SlotRouter check, a bank address beyond the pass
- * depth or a RAW hazard. The RAW stamps are kept for one PEG at a
- * time, so the build works channel by channel, and makes two passes
- * over each channel's beat list of a phase: the first counts each PE's
+ * Construction panics on a schedule the datapath cannot run: a
+ * SlotRouter check, a bank address beyond the pass depth, or a RAW
+ * hazard — two writes to one bank address fewer than rawDistance beats
+ * apart, where each phase starts rawDistance beats after the previous
+ * one ends (the pipeline drains between phases). The RAW stamps are
+ * one flat int32 table for the banks of one PEG, reset at every pass,
+ * so the build works channel by channel, and makes two passes over
+ * each channel's beat list of a phase: the first counts each PE's
  * valid slots and grows the arena by exactly that much, the second
  * (reading the list from cache) routes, checks and fills.
  *

@@ -198,8 +198,7 @@ BatchEngine::run(const Engine &engine, const sparse::CsrMatrix &a,
     const auto entry = lookup(engine.scheduler(), a,
                               engine.config().capacityRowsPerLane());
     return engine.runScheduled(entry->schedule, entry->stats,
-                               entry->replayPlan(), a, x, dataset, y_out,
-                               params);
+                               entry->plan(), a, x, dataset, y_out, params);
 }
 
 Comparison

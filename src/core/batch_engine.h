@@ -199,9 +199,9 @@ class BatchEngine
              std::uint32_t capacityRowsPerLane = 0);
 
     /**
-     * Cache-backed Engine::run (thread-safe). From an entry's second
-     * use on, the run replays the entry's StreamPlan; the report is
-     * bit-identical to a walk. Jobs and compare() run through here too.
+     * Cache-backed Engine::run (thread-safe): the run replays the
+     * entry's StreamPlan, which the entry's first run builds. Jobs and
+     * compare() run through here too.
      */
     SpmvReport run(const Engine &engine, const sparse::CsrMatrix &a,
                    const std::vector<float> &x,

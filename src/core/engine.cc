@@ -8,6 +8,7 @@
 #include "arch/chason_accel.h"
 #include "arch/power.h"
 #include "arch/serpens_accel.h"
+#include "arch/stream_soa.h"
 #include "common/logging.h"
 #include "sched/crhcs.h"
 #include "sched/pe_aware.h"
@@ -58,14 +59,18 @@ Engine::runScheduled(const sched::Schedule &schedule,
                      std::vector<float> *y_out,
                      const arch::SpmvParams &params) const
 {
-    return runScheduled(schedule, sched::analyze(schedule), nullptr, a, x,
+    const arch::StreamPlan plan = [&] {
+        trace::HostSpan span("plan:" + schedule.scheduler);
+        return arch::StreamPlan(schedule, accel_->migrationDepth());
+    }();
+    return runScheduled(schedule, sched::analyze(schedule), plan, a, x,
                         dataset, y_out, params);
 }
 
 SpmvReport
 Engine::runScheduled(const sched::Schedule &schedule,
                      const sched::ScheduleStats &stats,
-                     const arch::StreamPlan *plan,
+                     const arch::StreamPlan &plan,
                      const sparse::CsrMatrix &a,
                      const std::vector<float> &x,
                      const std::string &dataset,
@@ -76,8 +81,7 @@ Engine::runScheduled(const sched::Schedule &schedule,
     {
         trace::HostSpan span("simulate:" + accel_->name() +
                              (dataset.empty() ? "" : ":" + dataset));
-        run = plan ? accel_->runPlanned(schedule, *plan, x, params)
-                   : accel_->run(schedule, x, params);
+        run = accel_->runPlanned(schedule, plan, x, params);
     }
 
     SpmvReport report;

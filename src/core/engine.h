@@ -110,9 +110,9 @@ class Engine
                    const arch::SpmvParams &params = {}) const;
 
     /**
-     * Run a pre-built schedule (skips re-scheduling); analyzes it for
-     * the report's statistics and calls the overload below, walking the
-     * beat lists.
+     * Run a pre-built schedule once (skips re-scheduling): analyzes it
+     * for the report's statistics, builds its StreamPlan and calls the
+     * overload below.
      */
     SpmvReport runScheduled(const sched::Schedule &schedule,
                             const sparse::CsrMatrix &a,
@@ -122,16 +122,16 @@ class Engine
                             const arch::SpmvParams &params = {}) const;
 
     /**
-     * Run a pre-built schedule whose sched::analyze() statistics are
-     * @p stats, so a cached schedule is not re-analyzed per request.
-     * A non-null @p plan (built from @p schedule at the datapath's
-     * migration depth) is replayed instead of walking the beat lists;
-     * the report is bit-identical either way. Every report is built
-     * here.
+     * Run a pre-built schedule by replaying @p plan, built from
+     * @p schedule at the datapath's migration depth; @p stats are its
+     * sched::analyze() statistics. A caller that runs one schedule
+     * repeatedly (a cache entry, an iterative solver) keeps the plan
+     * and the statistics and passes them on every call. Every report
+     * is built here.
      */
     SpmvReport runScheduled(const sched::Schedule &schedule,
                             const sched::ScheduleStats &stats,
-                            const arch::StreamPlan *plan,
+                            const arch::StreamPlan &plan,
                             const sparse::CsrMatrix &a,
                             const std::vector<float> &x,
                             const std::string &dataset = "",

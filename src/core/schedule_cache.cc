@@ -127,20 +127,17 @@ CachedSchedule::memoryBytes() const
         arch::StreamPlan::bytesFor(schedule);
 }
 
-const arch::StreamPlan *
-CachedSchedule::replayPlan() const
+const arch::StreamPlan &
+CachedSchedule::plan() const
 {
-    if (uses_.fetch_add(1, std::memory_order_relaxed) == 0)
-        return nullptr;
     std::call_once(planOnce_, [this] {
         trace::HostSpan span("plan:" + schedule.scheduler);
         plan_ = std::make_unique<const arch::StreamPlan>(
             schedule, schedule.config.migrationDepth);
-        planBuilt_.store(true, std::memory_order_release);
         if (trace::TraceSink *sink = trace::activeSink())
             sink->addCounter("schedule_cache.plan_builds");
     });
-    return plan_.get();
+    return *plan_;
 }
 
 std::shared_ptr<const CachedSchedule>

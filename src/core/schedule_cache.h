@@ -23,7 +23,6 @@
 #ifndef CHASON_CORE_SCHEDULE_CACHE_H_
 #define CHASON_CORE_SCHEDULE_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <future>
 #include <list>
@@ -94,9 +93,10 @@ std::optional<sched::Schedule> loadArtifact(const std::string &path,
 /**
  * What a cache entry holds: the schedule, its sched::analyze()
  * statistics, computed once when the entry is filled, and its
- * arch::StreamPlan, built once on the entry's second use. All three
+ * arch::StreamPlan, built on the entry's first simulation. All three
  * depend only on the schedule and are shared by every request that
- * hits the entry; the plan lives and dies with it.
+ * hits the entry; the plan lives and dies with it. An entry reached
+ * only for its schedule builds no plan.
  */
 class CachedSchedule
 {
@@ -117,20 +117,12 @@ class CachedSchedule
     std::size_t memoryBytes() const;
 
     /**
-     * Count one use of the entry and return the plan to replay for it.
-     * The first use gets null and walks the beat lists, exactly as a
-     * one-off run does: an entry used once builds no plan. The second
-     * use builds the plan (depth schedule.config.migrationDepth) under
-     * std::call_once; concurrent uses wait for that one build, and
-     * every later use replays it.
+     * The plan every simulation of the entry replays (depth
+     * schedule.config.migrationDepth). The first call builds it under
+     * std::call_once; concurrent callers wait for that one build, and
+     * every later call returns it at once.
      */
-    const arch::StreamPlan *replayPlan() const;
-
-    /** True once the plan is built. */
-    bool planBuilt() const
-    {
-        return planBuilt_.load(std::memory_order_acquire);
-    }
+    const arch::StreamPlan &plan() const;
 
     /**
      * Run @p check on the schedule once per entry: the first caller
@@ -146,11 +138,9 @@ class CachedSchedule
 
   private:
     mutable std::once_flag verifyOnce_;
-    mutable std::atomic<std::uint64_t> uses_{0};
     mutable std::once_flag planOnce_;
     /** Written once, inside planOnce_; read after it. */
     mutable std::unique_ptr<const arch::StreamPlan> plan_;
-    mutable std::atomic<bool> planBuilt_{false};
 };
 
 /** Counter snapshot; taken atomically with respect to cache updates. */

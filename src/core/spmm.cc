@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "arch/stream_soa.h"
 #include "common/logging.h"
 
 namespace chason {
@@ -66,7 +67,9 @@ SpmmEngine::run(const sparse::CsrMatrix &a, const std::vector<float> &b,
     const double freq = accel.frequencyMhz();
     const double mem_factor = spmv.memStallFactor;
 
-    // --- Functional execution: the real datapath once per B column. ---
+    // --- Functional execution: one plan, replayed once per B column,
+    // as the accelerator streams A once per B tile. ---
+    const arch::StreamPlan plan(schedule, accel.migrationDepth());
     std::vector<float> c(static_cast<std::size_t>(a.rows()) * n_cols,
                          0.0f);
     std::vector<double> reference = spmmReference(a, b, n_cols);
@@ -91,7 +94,8 @@ SpmmEngine::run(const sparse::CsrMatrix &a, const std::vector<float> &b,
                     static_cast<std::ptrdiff_t>(j + 1) * a.rows());
             params.yIn = &c_col;
         }
-        const arch::RunResult run = accel.run(schedule, column, params);
+        const arch::RunResult run =
+            accel.runPlanned(schedule, plan, column, params);
         std::copy(run.y.begin(), run.y.end(),
                   c.begin() + static_cast<std::ptrdiff_t>(j) * a.rows());
         std::vector<double> ref_col(

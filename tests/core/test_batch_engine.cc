@@ -263,7 +263,16 @@ TEST(BatchEngine, SharedMatrixReportsBitIdenticalAnyWorkerCount)
     EXPECT_EQ(a.use_count(), 1);
 }
 
-TEST(BatchEngine, SecondUseOfAnEntryBuildsExactlyOnePlan)
+/** schedule_cache.plan_builds as counted by @p sink so far. */
+std::uint64_t
+planBuilds(const trace::TraceSink &sink)
+{
+    const auto counters = sink.counters();
+    const auto it = counters.find("schedule_cache.plan_builds");
+    return it == counters.end() ? std::uint64_t{0} : it->second;
+}
+
+TEST(BatchEngine, FirstUseOfAnEntryBuildsExactlyOnePlan)
 {
     trace::TraceSink sink;
     BatchOptions options;
@@ -272,34 +281,48 @@ TEST(BatchEngine, SecondUseOfAnEntryBuildsExactlyOnePlan)
     BatchEngine batch(options);
     const auto a = std::make_shared<const sparse::CsrMatrix>(matrix(6));
     const Engine engine(Engine::Kind::Chason, smallConfig());
-    auto submitCopies = [&](unsigned copies) {
-        for (unsigned copy = 0; copy < copies; ++copy) {
-            BatchJob j = job(6, Engine::Kind::Chason, "plan");
-            j.matrix = a;
-            batch.submit(std::move(j));
-        }
-        return batch.drain();
-    };
-    auto planBuilds = [&sink] {
-        const auto counters = sink.counters();
-        const auto it = counters.find("schedule_cache.plan_builds");
-        return it == counters.end() ? std::uint64_t{0} : it->second;
-    };
 
-    // Used once: the job walked, as a one-off run does; no plan.
-    const BatchReport once = submitCopies(1);
-    EXPECT_FALSE(batch.cache().lookup(engine.scheduler(), *a)->planBuilt());
-    EXPECT_EQ(planBuilds(), 0u);
-
-    // Four workers hit it at once: one plan between them, and every
-    // replayed report equals the walked one.
-    const BatchReport again = submitCopies(4);
-    EXPECT_TRUE(batch.cache().lookup(engine.scheduler(), *a)->planBuilt());
-    if (CHASON_TRACE_ENABLED) {
-        EXPECT_EQ(planBuilds(), 1u);
+    // Four workers hit a fresh entry at once: one plan between them,
+    // and every report equals a one-off run of the same job.
+    for (unsigned copy = 0; copy < 4; ++copy) {
+        BatchJob j = job(6, Engine::Kind::Chason, "plan");
+        j.matrix = a;
+        batch.submit(std::move(j));
     }
-    for (const SpmvReport &report : again.reports)
-        expectIdentical(once.reports[0], report);
+    const BatchReport first = batch.drain();
+    if (CHASON_TRACE_ENABLED) {
+        EXPECT_EQ(planBuilds(sink), 1u);
+    }
+    Rng rng(0xABC0 + 6);
+    const std::vector<float> x = sparse::randomVector(a->cols(), rng);
+    const SpmvReport once = engine.run(*a, x, "plan");
+    ASSERT_EQ(first.reports.size(), 4u);
+    for (const SpmvReport &report : first.reports)
+        expectIdentical(once, report);
+}
+
+TEST(BatchEngine, ScheduleOnlyLookupsBuildNoPlan)
+{
+    trace::TraceSink sink;
+    BatchOptions options;
+    options.workers = 2;
+    options.traceSink = &sink;
+    BatchEngine batch(options);
+    const sparse::CsrMatrix a = matrix(7);
+    const Engine engine(Engine::Kind::Chason, smallConfig());
+
+    // Scheduling-only callers (DSE, sweeps) never simulate the entry.
+    trace::ScopedSink scope(sink);
+    for (unsigned call = 0; call < 3; ++call)
+        ASSERT_NE(batch.schedule(engine, a), nullptr);
+    EXPECT_EQ(planBuilds(sink), 0u);
+
+    // The entry's first run builds it.
+    Rng rng(7);
+    batch.run(engine, a, sparse::randomVector(a.cols(), rng));
+    if (CHASON_TRACE_ENABLED) {
+        EXPECT_EQ(planBuilds(sink), 1u);
+    }
 }
 
 TEST(BatchEngine, VerifyingRefilledEntriesChangesNoReport)

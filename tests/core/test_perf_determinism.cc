@@ -3,21 +3,24 @@
  * Determinism regressions for the offline fast paths.
  *
  * The rewrite's contract is that none of its speed mechanisms —
- * parallel phase scheduling on a caller-owned pool, the precomputed
- * StreamPlan, PEG pooling, the blocked column scatter — may change one
- * bit of any result. These tests pin that contract on three R-MAT
- * tiers: pooled CrHCS must produce the calling-thread schedule slot for
- * slot at every pool size, the plan replay must reproduce run()'s
- * beat-list walk exactly (y, every cycle counter, traffic, the report
- * JSON) on both datapaths, over several passes and from several
- * threads at once, a plan build must panic wherever the walk would,
- * and the cache-blocked scatter must produce the direct scatter's
- * arrays.
+ * parallel phase scheduling on a caller-owned pool, the StreamPlan the
+ * simulator replays, PEG pooling, the blocked column scatter — may
+ * change one bit of any result. These tests pin that contract on three
+ * R-MAT tiers: pooled CrHCS must produce the calling-thread schedule
+ * slot for slot at every pool size; a held plan's replay must
+ * reproduce a one-off run() exactly (y, every cycle counter, traffic,
+ * the report JSON) on both datapaths, over several passes and from
+ * several threads at once, with y digests recorded from the beat-list
+ * walk the plan replaced; the replay must equal that walk, kept here
+ * as a sums-only oracle, bank by bank; a plan build must panic on a
+ * corrupted schedule; and the cache-blocked scatter must produce the
+ * direct scatter's arrays.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <thread>
@@ -26,6 +29,7 @@
 #include "arch/chason_accel.h"
 #include "arch/serpens_accel.h"
 #include "arch/stream_soa.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "core/engine.h"
 #include "core/report_json.h"
@@ -128,7 +132,7 @@ expectSameRun(const arch::RunResult &ref, const arch::RunResult &planned)
     EXPECT_DOUBLE_EQ(ref.latencyUs, planned.latencyUs);
 }
 
-/** One plan-vs-walk input: a matrix and the stream its x is drawn from. */
+/** One plan-vs-run input: a matrix and the stream its x is drawn from. */
 struct PlanCase
 {
     std::uint64_t stream;
@@ -146,16 +150,120 @@ tierCases()
 }
 
 /**
- * Walk (run) against replay (runPlanned) of @p scheduler's schedule on
- * @p accel, for each of @p cases, for plain SpMV and for a beta != 0
- * call. The plan also holds exactly its closed-form bytes.
+ * FNV-1a digests of one case's y: plain SpMV and the alpha/beta call.
+ * Recorded from the beat-list walk before the plan became the only
+ * path, so they pin that the replay computes the walk's y.
+ */
+struct YDigests
+{
+    std::uint64_t plain;
+    std::uint64_t alphaBeta;
+};
+
+std::uint64_t
+yDigest(const std::vector<float> &y)
+{
+    return common::fnv1a(y.data(), y.size() * sizeof(float));
+}
+
+/**
+ * The beat-list walk the simulator streamed with before StreamPlan
+ * became its only path, kept as an independent oracle, sums only:
+ * route every valid slot of channel @p ch of phase @p ph and add
+ * value * x[col] into its bank of @p peg, in beat order.
+ */
+void
+walkChannel(const sched::Schedule &s, std::size_t ph, unsigned ch,
+            unsigned depth, const arch::XWindowBuffer &x, arch::Peg &peg)
+{
+    const arch::SlotRouter router(s.config, depth, x.base(), x.length());
+    const sched::BeatList &beats = s.phases[ph].channels[ch].beats;
+    for (std::size_t t = 0; t < beats.size(); ++t) {
+        for (unsigned p = 0; p < s.config.pesPerGroup(); ++p) {
+            const sched::Slot &slot = beats[t].slots[p];
+            if (!slot.valid)
+                continue;
+            const arch::SlotRoute r = router.route(slot, ch, p);
+            peg.pe(p).banks()[r.bank].add(r.addr,
+                                          slot.value * x.data()[r.winCol]);
+        }
+    }
+}
+
+/**
+ * Walk (the oracle) and replay every channel of @p s against @p x,
+ * pass by pass, and compare every bank of every PE bit for bit at the
+ * end of each pass. Returns how many banks of distance @p depth (>= 1)
+ * held a migrated sum, so a caller can require that the farthest ScUG
+ * distance was exercised.
+ */
+std::size_t
+expectReplayMatchesWalkBankByBank(const sched::Schedule &s, unsigned depth,
+                                  const std::vector<float> &x)
+{
+    const arch::StreamPlan plan(s, depth);
+    const sched::SchedConfig &sc = s.config;
+    const unsigned pes = sc.pesPerGroup();
+    std::vector<arch::Peg> walked(sc.channels, arch::Peg(sc, depth));
+    std::vector<arch::Peg> replayed(sc.channels, arch::Peg(sc, depth));
+    arch::XWindowBuffer xbuf;
+    std::size_t farthest = 0;
+    std::size_t ph = 0;
+    while (ph < s.phases.size()) {
+        const std::uint32_t pass = s.phases[ph].pass;
+        const std::uint32_t rows = sched::passDepth(s, pass);
+        for (unsigned ch = 0; ch < sc.channels; ++ch) {
+            walked[ch].reset(rows);
+            replayed[ch].reset(rows);
+        }
+        for (; ph < s.phases.size() && s.phases[ph].pass == pass; ++ph) {
+            const std::uint32_t base = s.phases[ph].window * sc.windowCols;
+            xbuf.load(x, base, std::min(sc.windowCols, s.cols - base));
+            for (unsigned ch = 0; ch < sc.channels; ++ch) {
+                walkChannel(s, ph, ch, depth, xbuf, walked[ch]);
+                plan.replay(ph, ch, xbuf, replayed[ch]);
+            }
+        }
+        for (unsigned ch = 0; ch < sc.channels; ++ch) {
+            for (unsigned p = 0; p < pes; ++p) {
+                for (unsigned tag = 0; tag < 1 + depth * pes; ++tag) {
+                    const arch::AccumulatorBank &w =
+                        walked[ch].pe(p).banks()[tag];
+                    const arch::AccumulatorBank &r =
+                        replayed[ch].pe(p).banks()[tag];
+                    EXPECT_EQ(w.dirty(), r.dirty());
+                    EXPECT_EQ(std::memcmp(w.data(), r.data(),
+                                          w.depth() * sizeof(float)),
+                              0)
+                        << "pass " << pass << " channel " << ch << " PE "
+                        << p << " bank " << tag;
+                    if (tag > (depth - 1) * pes && w.dirty())
+                        ++farthest;
+                }
+            }
+        }
+    }
+    return farthest;
+}
+
+/**
+ * One-off run() (a fresh build and its replay) against a held plan's
+ * replay (runPlanned) of @p scheduler's schedule on @p accel, for each
+ * of @p cases, for plain SpMV and for a beta != 0 call; y must match
+ * @p digests, case by case. The plan also holds exactly its
+ * closed-form bytes. With @p oracle the replay is also compared with
+ * the walk bank by bank, and must reach the farthest ScUG distance.
  */
 void
 expectPlannedMatchesRun(const arch::Accelerator &accel,
                         const sched::Scheduler &scheduler,
-                        const std::vector<PlanCase> &cases = tierCases())
+                        const std::vector<YDigests> &digests,
+                        const std::vector<PlanCase> &cases = tierCases(),
+                        bool oracle = false)
 {
-    for (const PlanCase &c : cases) {
+    ASSERT_EQ(digests.size(), cases.size());
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        const PlanCase &c = cases[i];
         SCOPED_TRACE(c.stream);
         const sparse::CsrMatrix &a = c.a;
         Rng rng = Rng::forStream(0xD373F00D, c.stream);
@@ -166,15 +274,23 @@ expectPlannedMatchesRun(const arch::Accelerator &accel,
         const arch::StreamPlan plan(schedule, accel.migrationDepth());
         EXPECT_EQ(plan.memoryBytes(), arch::StreamPlan::bytesFor(schedule));
 
-        expectSameRun(accel.run(schedule, x),
-                      accel.runPlanned(schedule, plan, x));
+        const arch::RunResult once = accel.run(schedule, x);
+        expectSameRun(once, accel.runPlanned(schedule, plan, x));
+        EXPECT_EQ(yDigest(once.y), digests[i].plain);
 
         arch::SpmvParams params;
         params.alpha = 0.75f;
         params.beta = -1.5f;
         params.yIn = &y_in;
-        expectSameRun(accel.run(schedule, x, params),
-                      accel.runPlanned(schedule, plan, x, params));
+        const arch::RunResult once_ab = accel.run(schedule, x, params);
+        expectSameRun(once_ab, accel.runPlanned(schedule, plan, x, params));
+        EXPECT_EQ(yDigest(once_ab.y), digests[i].alphaBeta);
+
+        if (oracle && accel.migrationDepth() > 0) {
+            EXPECT_GT(expectReplayMatchesWalkBankByBank(
+                          schedule, accel.migrationDepth(), x),
+                      0u);
+        }
     }
 }
 
@@ -183,8 +299,11 @@ TEST(PerfDeterminism, PlannedSimulationMatchesRunExactly)
     {
         SCOPED_TRACE("chason, CrHCS depth 1");
         const arch::ArchConfig ac;
-        expectPlannedMatchesRun(arch::ChasonAccelerator(ac),
-                                sched::CrhcsScheduler(ac.sched));
+        expectPlannedMatchesRun(
+            arch::ChasonAccelerator(ac), sched::CrhcsScheduler(ac.sched),
+            {{0x9d2d2af1d23509caull, 0xdc857f4497eb400bull},
+             {0x0d57616dd3c06c5eull, 0xe12dcc15927a89ccull},
+             {0xe61b7eb618b07ae5ull, 0xdd543cc29b0512a5ull}});
     }
     {
         SCOPED_TRACE("chason, CrHCS depth 2");
@@ -197,7 +316,12 @@ TEST(PerfDeterminism, PlannedSimulationMatchesRunExactly)
         ASSERT_EQ(maxMigrationDistance(
                       scheduler.schedule(tierMatrix(kTiers[2]))),
                   2u);
-        expectPlannedMatchesRun(accel, scheduler);
+        expectPlannedMatchesRun(
+            accel, scheduler,
+            {{0x4c778c9c6b0e1f53ull, 0x20f4c59eddafccebull},
+             {0x2ee47a49e2709b7cull, 0xd9a34c62bcaa6739ull},
+             {0x2ae8a333c1575b7cull, 0xb3125f7445dc967dull}},
+            tierCases(), /*oracle=*/true);
     }
     {
         SCOPED_TRACE("serpens, PE-aware");
@@ -205,13 +329,17 @@ TEST(PerfDeterminism, PlannedSimulationMatchesRunExactly)
         ac.sched.migrationDepth = 0;
         const arch::SerpensAccelerator accel(ac);
         ASSERT_EQ(accel.migrationDepth(), 0u);
-        expectPlannedMatchesRun(accel, sched::PeAwareScheduler(ac.sched));
+        expectPlannedMatchesRun(
+            accel, sched::PeAwareScheduler(ac.sched),
+            {{0x37886d78c8c53ef0ull, 0x18345dd55cb0bd7cull},
+             {0x2f2dd0937bf9c15cull, 0xb314f1a42fe1c02eull},
+             {0xd83670d8445cd63dull, 0xef6c222942251625ull}});
     }
     {
         // Every tier above fits one pass. 64 rows per lane makes a pass
         // 8192 rows, so 20000 rows take three passes, the last one
-        // short (3616 rows): the plan's banks are reset per pass to
-        // each pass's own depth, as the walk's are.
+        // short (3616 rows): the banks are reset per pass to each
+        // pass's own depth, and so are the plan build's RAW stamps.
         SCOPED_TRACE("chason, CrHCS multi-pass");
         arch::ArchConfig ac;
         ac.sched.rowsPerLanePerPass = 64;
@@ -225,7 +353,10 @@ TEST(PerfDeterminism, PlannedSimulationMatchesRunExactly)
         ASSERT_EQ(schedule.passes(), 3u);
         ASSERT_LT(sched::passDepth(schedule, 2),
                   sched::passDepth(schedule, 0));
-        expectPlannedMatchesRun(accel, scheduler, cases);
+        expectPlannedMatchesRun(
+            accel, scheduler,
+            {{0x3cece83d9b6c2652ull, 0x106c075eccbf7564ull}}, cases,
+            /*oracle=*/true);
     }
 }
 
@@ -304,7 +435,7 @@ TEST(PerfDeterminismDeathTest, ForeignLanePanicsAtPlanBuildLikeTheWalk)
 TEST(PerfDeterminism, OnePlanReplayedByManyThreadsAtOnce)
 {
     // A cached plan is shared by every worker that hits its entry: the
-    // concurrent replays must each reproduce their own walk.
+    // concurrent replays must each reproduce their own one-off run.
     const arch::ArchConfig ac;
     const arch::ChasonAccelerator accel(ac);
     const sparse::CsrMatrix a = tierMatrix(kTiers[1]);
@@ -314,11 +445,11 @@ TEST(PerfDeterminism, OnePlanReplayedByManyThreadsAtOnce)
 
     constexpr unsigned kThreads = 4;
     std::vector<std::vector<float>> xs;
-    std::vector<arch::RunResult> walked;
+    std::vector<arch::RunResult> once;
     for (unsigned t = 0; t < kThreads; ++t) {
         Rng rng = Rng::forStream(0x7EAD, t);
         xs.push_back(sparse::randomVector(a.cols(), rng));
-        walked.push_back(accel.run(schedule, xs[t]));
+        once.push_back(accel.run(schedule, xs[t]));
     }
     std::vector<arch::RunResult> replayed(kThreads);
     std::vector<std::thread> threads;
@@ -332,7 +463,7 @@ TEST(PerfDeterminism, OnePlanReplayedByManyThreadsAtOnce)
         th.join();
     for (unsigned t = 0; t < kThreads; ++t) {
         SCOPED_TRACE(t);
-        expectSameRun(walked[t], replayed[t]);
+        expectSameRun(once[t], replayed[t]);
     }
 }
 

@@ -8,15 +8,18 @@
 
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/report_json.h"
 #include "sched/crhcs.h"
 #include "sched/pe_aware.h"
 #include "sparse/generators.h"
+#include "trace/trace.h"
 
 namespace chason {
 namespace core {
@@ -300,11 +303,23 @@ TEST(ScheduleCache, CachedScheduleRunsCorrectly)
     EXPECT_LE(via_cache.functionalError, 1.0);
 }
 
-TEST(ScheduleCache, PlanBuildsOnSecondUseAndKeepsTheEntrySize)
+/** schedule_cache.plan_builds as counted by @p sink so far. */
+std::uint64_t
+planBuilds(const trace::TraceSink &sink)
 {
+    const auto counters = sink.counters();
+    const auto it = counters.find("schedule_cache.plan_builds");
+    return it == counters.end() ? std::uint64_t{0} : it->second;
+}
+
+TEST(ScheduleCache, PlanBuildsOnFirstRunAndKeepsTheEntrySize)
+{
+    trace::TraceSink sink;
+    trace::ScopedSink scope(sink);
     Engine engine(Engine::Kind::Chason, smallConfig());
     ScheduleCache cache;
-    const auto entry = cache.lookup(engine.scheduler(), matrix(11));
+    const sparse::CsrMatrix a = matrix(11);
+    const auto entry = cache.lookup(engine.scheduler(), a);
     // The plan's closed-form bytes are counted from the fill on.
     const std::size_t bytes = cache.stats().bytes;
     EXPECT_EQ(bytes, entry->memoryBytes());
@@ -313,49 +328,58 @@ TEST(ScheduleCache, PlanBuildsOnSecondUseAndKeepsTheEntrySize)
                   entry->stats.perPegUnderutilization.capacity() *
                       sizeof(double) +
                   arch::StreamPlan::bytesFor(entry->schedule));
+    EXPECT_EQ(planBuilds(sink), 0u); // a lookup builds nothing
 
-    EXPECT_EQ(entry->replayPlan(), nullptr); // first use walks
-    EXPECT_FALSE(entry->planBuilt());
-    const arch::StreamPlan *plan = entry->replayPlan();
-    ASSERT_NE(plan, nullptr);
-    EXPECT_TRUE(entry->planBuilt());
-    EXPECT_EQ(entry->replayPlan(), plan); // built once, then replayed
-    EXPECT_EQ(plan->memoryBytes(),
+    // The first run builds the plan; later runs replay the same one.
+    Rng rng(11);
+    const std::vector<float> x = sparse::randomVector(a.cols(), rng);
+    const std::string first = toJson(engine.runScheduled(
+        entry->schedule, entry->stats, entry->plan(), a, x));
+    const arch::StreamPlan &plan = entry->plan();
+    EXPECT_EQ(&entry->plan(), &plan);
+    if (CHASON_TRACE_ENABLED) {
+        EXPECT_EQ(planBuilds(sink), 1u);
+    }
+    EXPECT_EQ(toJson(engine.runScheduled(entry->schedule, entry->stats,
+                                         plan, a, x)),
+              first);
+    EXPECT_EQ(toJson(engine.runScheduled(entry->schedule, a, x)), first);
+    EXPECT_EQ(plan.memoryBytes(),
               arch::StreamPlan::bytesFor(entry->schedule));
-    EXPECT_TRUE(plan->matches(entry->schedule,
-                              engine.accelerator().migrationDepth()));
+    EXPECT_TRUE(plan.matches(entry->schedule,
+                             engine.accelerator().migrationDepth()));
 
     EXPECT_EQ(cache.stats().bytes, bytes);
     EXPECT_EQ(entry->memoryBytes(), bytes);
     EXPECT_TRUE(cache.debugCheckConsistency());
 }
 
-TEST(ScheduleCache, ConcurrentSecondUsesShareOnePlan)
+TEST(ScheduleCache, ConcurrentFirstRunsShareOnePlan)
 {
+    trace::TraceSink sink;
     Engine engine(Engine::Kind::Chason, smallConfig());
     ScheduleCache cache;
     const auto entry = cache.lookup(engine.scheduler(), matrix(12));
 
-    // Four first-and-later uses at once: one walks, the other three
-    // wait for the one build and get the same plan.
+    // Four first runs at once: one builds, the other three wait for
+    // that one build and get the same plan.
     constexpr unsigned kThreads = 4;
     std::vector<const arch::StreamPlan *> seen(kThreads);
     std::vector<std::thread> threads;
-    for (unsigned t = 0; t < kThreads; ++t)
-        threads.emplace_back([&, t] { seen[t] = entry->replayPlan(); });
+    for (unsigned t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            trace::ScopedSink scope(sink);
+            seen[t] = &entry->plan();
+        });
+    }
     for (std::thread &th : threads)
         th.join();
 
-    const arch::StreamPlan *plan = entry->replayPlan();
-    ASSERT_NE(plan, nullptr);
-    unsigned walked = 0;
-    for (const arch::StreamPlan *p : seen) {
-        if (p == nullptr)
-            ++walked;
-        else
-            EXPECT_EQ(p, plan);
+    for (const arch::StreamPlan *p : seen)
+        EXPECT_EQ(p, &entry->plan());
+    if (CHASON_TRACE_ENABLED) {
+        EXPECT_EQ(planBuilds(sink), 1u);
     }
-    EXPECT_EQ(walked, 1u);
 }
 
 TEST(ScheduleCache, EvictedEntryFreesItsPlan)
@@ -369,8 +393,7 @@ TEST(ScheduleCache, EvictedEntryFreesItsPlan)
     std::weak_ptr<const CachedSchedule> weak;
     {
         const auto entry = cache.lookup(engine.scheduler(), a);
-        entry->replayPlan();
-        ASSERT_NE(entry->replayPlan(), nullptr);
+        entry->plan();
         weak = entry;
         cache.get(engine, b); // over budget: evicts a
         EXPECT_EQ(cache.stats().evictions, 1u);
